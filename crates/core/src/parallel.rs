@@ -330,10 +330,11 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         let (done_tx, done_rx) = mpsc::channel::<JobDone<'a>>();
 
         let result = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let done_tx = done_tx.clone();
                 let job_rx = &job_rx;
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     loop {
                         // Hold the lock only for the dequeue, not the solve.
                         let job = job_rx.lock().unwrap().recv();
@@ -348,7 +349,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     // destructors, so a drain right after learn() could
                     // otherwise race with thread teardown.
                     hh_trace::flush();
-                });
+                }));
             }
             drop(done_tx); // scheduler keeps only done_rx
 
@@ -364,6 +365,17 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 |_| {},
             );
             drop(job_tx); // closes the queue; workers exit before scope joins
+
+            // Join the OS threads, not only their closures (all the scope
+            // waits for). A worker still tearing down after `learn` returns
+            // holds its allocator arena, so threads spawned next (the next
+            // learn, or a caller's own fan-out) would open fresh arenas, and
+            // the process's resident memory would depend on thread timing.
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
             outcome
         });
         if let Some(cache) = &encode_cache {

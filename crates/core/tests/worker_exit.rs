@@ -1,0 +1,56 @@
+//! `ParallelEngine::learn` leaves no worker thread behind: every OS thread
+//! it spawned has exited by the time it returns. Threads spawned next (the
+//! next learn, or a caller's own fan-out) then reuse the allocator arenas
+//! the workers released instead of opening new ones, so resident memory
+//! does not depend on thread timing.
+//!
+//! This test has a binary of its own: the harness runs it alone, so the
+//! process's thread count moves only with the engine's.
+
+#![cfg(target_os = "linux")]
+
+use hh_netlist::eval::StateValues;
+use hh_netlist::miter::Miter;
+use hh_netlist::{Bv, Netlist};
+use hh_smt::Predicate;
+use hhoudini::mine::CoiMiner;
+use hhoudini::{EngineConfig, ParallelEngine};
+
+/// Live OS threads of this process.
+fn os_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .count()
+}
+
+#[test]
+fn learn_returns_after_its_workers_have_exited() {
+    // A target fed by eight independent registers: a wavefront wide enough
+    // to keep every worker busy.
+    let mut n = Netlist::new("wide");
+    let regs: Vec<_> = (0..8)
+        .map(|i| n.state(format!("r{i}"), 1, Bv::bit(true)))
+        .collect();
+    for &r in &regs {
+        n.keep_state(r);
+    }
+    let t = n.state("t", 1, Bv::bit(true));
+    let nodes: Vec<_> = regs.iter().map(|&r| n.state_node(r)).collect();
+    let conj = n.and_all(&nodes);
+    n.set_next(t, conj);
+    let m = Miter::build(&n);
+    let examples = [StateValues::initial(m.netlist())];
+    let prop = Predicate::eq(m.left(t), m.right(t));
+
+    let before = os_threads();
+    for round in 0..50 {
+        let miner = CoiMiner::new(&m, &examples, None, vec![]);
+        let mut engine = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 4);
+        assert!(engine.learn(std::slice::from_ref(&prop)).is_some());
+        assert_eq!(
+            os_threads(),
+            before,
+            "round {round}: a worker outlived learn"
+        );
+    }
+}

@@ -91,8 +91,17 @@ impl InputValues {
             .input_ids()
             .position(|i| netlist.input_name(i) == name)
             .unwrap_or_else(|| panic!("no input named {name}"));
-        assert_eq!(self.0[idx].width(), value.width(), "input width mismatch");
-        self.0[idx] = value;
+        self.set(idx, value);
+    }
+
+    /// Sets input `i` (its position in [`Netlist::input_ids`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range or widths mismatch.
+    pub fn set(&mut self, i: usize, value: Bv) {
+        assert_eq!(self.0[i].width(), value.width(), "input width mismatch");
+        self.0[i] = value;
     }
 
     /// Value of input `i`.

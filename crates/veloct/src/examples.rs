@@ -13,10 +13,11 @@ use hh_isa::{asm, Instruction, Mnemonic};
 use hh_netlist::eval::{InputValues, StateValues};
 use hh_netlist::miter::Miter;
 use hh_netlist::Bv;
-use hh_sim::{product_states, simulate, state_waveform};
+use hh_sim::{product_states, simulate, Trace};
 use hh_uarch::Design;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A left/right assignment of the architectural registers: the paired
 /// executions differ exactly here (equal-modulo-secret initial states).
@@ -141,7 +142,7 @@ pub fn exemplar(m: Mnemonic) -> Instruction {
 /// predicates survive mining, get picked into abducts, fail, and force
 /// backtracks. The public base register (x4) is written last, after the
 /// memory system no longer needs it.
-const EXAMPLE_RDS: [u8; 7] = [3, 5, 6, 7, 1, 2, 4];
+pub(crate) const EXAMPLE_RDS: [u8; 7] = [3, 5, 6, 7, 1, 2, 4];
 
 /// Builds the adversarial *probe* program for differential testing: a
 /// cache-warming public access, NOP padding, the instruction under test,
@@ -212,12 +213,21 @@ fn initial_state(design: &Design, values: &[u64]) -> StateValues {
     s
 }
 
-fn drive(design: &Design, prog: &[u32], cycles: usize) -> Vec<InputValues> {
-    (0..cycles)
+/// The per-cycle inputs that feed `prog` to the design, ε-padded to
+/// `prog.len() + max_latency` cycles. They depend only on the program, so
+/// each program's inputs are built once and shared by every pair running it.
+fn drive(design: &Design, prog: &[u32]) -> Vec<InputValues> {
+    let netlist = &design.netlist;
+    let instr = netlist
+        .input_ids()
+        .position(|i| netlist.input_name(i) == design.instr_input)
+        .unwrap_or_else(|| panic!("no input named {}", design.instr_input));
+    let idle = InputValues::zeros(netlist);
+    (0..prog.len() + design.max_latency)
         .map(|c| {
             let w = prog.get(c).copied().unwrap_or(BUBBLE);
-            let mut iv = InputValues::zeros(&design.netlist);
-            iv.set_by_name(&design.netlist, &design.instr_input, Bv::new(32, w as u64));
+            let mut iv = idle.clone();
+            iv.set(instr, Bv::new(32, w as u64));
             iv
         })
         .collect()
@@ -233,6 +243,54 @@ pub struct Divergence {
     pub cycle: usize,
 }
 
+/// Simulates both sides of a pair on the shared `inputs` and checks trace
+/// indistinguishability on the observables (Def. 4.2).
+fn simulate_pair(
+    design: &Design,
+    m: Mnemonic,
+    inputs: &[InputValues],
+    config: &SecretConfig,
+) -> Result<(Trace, Trace), Divergence> {
+    let lt = simulate(&design.netlist, initial_state(design, &config.left), inputs);
+    let rt = simulate(
+        &design.netlist,
+        initial_state(design, &config.right),
+        inputs,
+    );
+    for &o in &design.observable {
+        let mut paired = lt.states.iter().zip(&rt.states);
+        if let Some(cycle) = paired.position(|(a, b)| a.get(o) != b.get(o)) {
+            return Err(Divergence { mnemonic: m, cycle });
+        }
+    }
+    Ok((lt, rt))
+}
+
+/// One paired execution over prebuilt `inputs`: the product states from
+/// `window_start` on, masked when `mask` is set, or the divergence evidence.
+fn pair_examples(
+    design: &Design,
+    miter: &Miter,
+    m: Mnemonic,
+    inputs: &[InputValues],
+    config: &SecretConfig,
+    window_start: usize,
+    mask: bool,
+) -> Result<Vec<StateValues>, Divergence> {
+    let (lt, rt) = simulate_pair(design, m, inputs, config)?;
+    let mut states = product_states(miter, &lt, &rt);
+    // Def. 4.8: each example must step to another positive example; drop the
+    // final state, whose successor we did not observe.
+    states.pop();
+    states.drain(..window_start.min(states.len()));
+    if mask {
+        for s in &mut states {
+            apply_masking(design, miter, s);
+        }
+    }
+    Ok(states)
+}
+
 /// Runs one paired execution of the given program under `config`; `m` is
 /// carried for divergence reporting. Returns the masked product states or
 /// the divergence evidence.
@@ -243,13 +301,14 @@ pub fn run_program_pair(
     prog: &[u32],
     config: &SecretConfig,
 ) -> Result<Vec<StateValues>, Divergence> {
-    run_program_pair_window(design, miter, m, prog, config, 0)
+    run_program_pair_window(design, miter, m, prog, config, 0, true)
 }
 
 /// [`run_program_pair`] extracting examples only from `window_start`
 /// onwards (the in-flight window of §5.2, excluding start-up cycles whose
-/// states reflect unsafe-instruction execution). The divergence check still
-/// covers the whole trace.
+/// states reflect unsafe-instruction execution), with example masking
+/// applied only when `mask` is set (off for the §5.2.1 ablation). The
+/// divergence check still covers the whole trace.
 pub fn run_program_pair_window(
     design: &Design,
     miter: &Miter,
@@ -257,77 +316,13 @@ pub fn run_program_pair_window(
     prog: &[u32],
     config: &SecretConfig,
     window_start: usize,
+    mask: bool,
 ) -> Result<Vec<StateValues>, Divergence> {
-    let cycles = prog.len() + design.max_latency;
-    let inputs = drive(design, prog, cycles);
-    let lt = simulate(
-        &design.netlist,
-        initial_state(design, &config.left),
-        &inputs,
-    );
-    let rt = simulate(
-        &design.netlist,
-        initial_state(design, &config.right),
-        &inputs,
-    );
-
-    // Trace indistinguishability on the observables (Def. 4.2).
-    for &o in &design.observable {
-        let lw = state_waveform(&lt, o);
-        let rw = state_waveform(&rt, o);
-        if let Some(cycle) = lw.iter().zip(&rw).position(|(a, b)| a != b) {
-            return Err(Divergence { mnemonic: m, cycle });
-        }
-    }
-
-    let mut states = product_states(miter, &lt, &rt);
-    // Def. 4.8: each example must step to another positive example; drop the
-    // final state, whose successor we did not observe.
-    states.pop();
-    states.drain(..window_start.min(states.len()));
-    for s in &mut states {
-        apply_masking(design, miter, s);
-    }
-    Ok(states)
+    let inputs = drive(design, prog);
+    pair_examples(design, miter, m, &inputs, config, window_start, mask)
 }
 
-/// [`run_program_pair_window`] without the masking pass (ablation support).
-pub fn run_program_pair_unmasked(
-    design: &Design,
-    miter: &Miter,
-    m: Mnemonic,
-    prog: &[u32],
-    config: &SecretConfig,
-    window_start: usize,
-) -> Result<Vec<StateValues>, Divergence> {
-    // Re-run the paired simulation but skip `apply_masking`.
-    let cycles = prog.len() + design.max_latency;
-    let inputs = drive(design, prog, cycles);
-    let lt = simulate(
-        &design.netlist,
-        initial_state(design, &config.left),
-        &inputs,
-    );
-    let rt = simulate(
-        &design.netlist,
-        initial_state(design, &config.right),
-        &inputs,
-    );
-    for &o in &design.observable {
-        let lw = state_waveform(&lt, o);
-        let rw = state_waveform(&rt, o);
-        if let Some(cycle) = lw.iter().zip(&rw).position(|(a, b)| a != b) {
-            return Err(Divergence { mnemonic: m, cycle });
-        }
-    }
-    let mut states = product_states(miter, &lt, &rt);
-    states.pop();
-    states.drain(..window_start.min(states.len()));
-    Ok(states)
-}
-
-/// Runs one paired execution of `m`'s adversarial probe program (used by
-/// differential testing).
+/// Runs one paired execution of `m`'s adversarial probe program.
 pub fn run_pair(
     design: &Design,
     miter: &Miter,
@@ -362,15 +357,76 @@ pub fn apply_masking(design: &Design, miter: &Miter, state: &mut StateValues) {
     }
 }
 
-/// Differentially tests `m` with the adversarial configurations; returns
-/// divergence evidence if any pair's observable timing differs.
-pub fn differential_test(design: &Design, miter: &Miter, m: Mnemonic) -> Option<Divergence> {
-    for config in adversarial_configs(design) {
-        if let Err(d) = run_pair(design, miter, m, &config) {
-            return Some(d);
-        }
+/// Order-preserving parallel map of `f` over `0..n` on up to `threads`
+/// scoped workers that claim indices from a shared counter. With one thread
+/// (or one job) it runs inline on the caller's thread and spawns nothing.
+fn par_map<R: Send>(threads: usize, n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let workers = threads.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
     }
-    None
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; the
+                        // results reach the caller through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index is claimed by exactly one worker"))
+        .collect()
+}
+
+/// Differentially tests `m` with the adversarial configurations; returns
+/// divergence evidence if any pair's observable timing differs. The verdict
+/// depends on the base design's traces alone, so `_miter` is not consulted.
+pub fn differential_test(design: &Design, _miter: &Miter, m: Mnemonic) -> Option<Divergence> {
+    differential_tests(design, &[m], 1)
+        .pop()
+        .expect("one verdict per candidate")
+}
+
+/// [`differential_test`] for every candidate, fanned out over `threads`:
+/// verdicts come back in candidate order, and each candidate's adversarial
+/// configurations run serially over one shared probe stimulus, stopping at
+/// the first divergence.
+pub(crate) fn differential_tests(
+    design: &Design,
+    candidates: &[Mnemonic],
+    threads: usize,
+) -> Vec<Option<Divergence>> {
+    let configs = adversarial_configs(design);
+    par_map(threads, candidates.len(), |i| {
+        let m = candidates[i];
+        let inputs = drive(design, &probe_program(design, m));
+        configs
+            .iter()
+            .find_map(|config| simulate_pair(design, m, &inputs, config).err())
+    })
 }
 
 /// Generates the positive example set for a proposed safe set: paired traces
@@ -424,22 +480,72 @@ pub fn generate_examples_custom(
     mask: bool,
     rds: &[u8],
 ) -> Result<Vec<StateValues>, Divergence> {
-    let mut out: Vec<StateValues> = Vec::new();
-    for (k, &m) in safe.iter().enumerate() {
-        let configs = random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8));
-        let (prog, window) = example_program_with_rds(design, m, rds);
-        for config in &configs {
-            let states = if mask {
-                run_program_pair_window(design, miter, m, &prog, config, window)?
-            } else {
-                run_program_pair_unmasked(design, miter, m, &prog, config, window)?
-            };
-            out.extend(states);
+    generate_examples_threaded(design, miter, safe, pairs_per_instr, seed, mask, rds, 1)
+}
+
+/// [`generate_examples_custom`] fanned out over `threads`, one job per
+/// `(instruction, config)` pair. The example set is identical at every
+/// thread count, and so is the reported divergence: the one with the lowest
+/// job index, which is the first a serial loop meets. Jobs after a known
+/// divergence are skipped.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn generate_examples_threaded(
+    design: &Design,
+    miter: &Miter,
+    safe: &[Mnemonic],
+    pairs_per_instr: usize,
+    seed: u64,
+    mask: bool,
+    rds: &[u8],
+    threads: usize,
+) -> Result<Vec<StateValues>, Divergence> {
+    let programs: Vec<(Vec<InputValues>, usize)> = safe
+        .iter()
+        .map(|&m| {
+            let (prog, window) = example_program_with_rds(design, m, rds);
+            (drive(design, &prog), window)
+        })
+        .collect();
+    let jobs: Vec<(usize, SecretConfig)> = (0..safe.len())
+        .flat_map(|k| {
+            random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8))
+                .into_iter()
+                .map(move |config| (k, config))
+        })
+        .collect();
+    // Relaxed: only a skip hint. A job is skipped only when a lower job has
+    // already diverged, so the lowest diverging job always runs.
+    let first_divergence = AtomicUsize::new(usize::MAX);
+    let results = par_map(threads, jobs.len(), |j| {
+        if j > first_divergence.load(Ordering::Relaxed) {
+            return None;
         }
+        let (k, config) = &jobs[j];
+        let (inputs, window) = &programs[*k];
+        match pair_examples(design, miter, safe[*k], inputs, config, *window, mask) {
+            Ok(mut states) => {
+                states.sort_unstable_by(by_values);
+                states.dedup();
+                Some(Ok(states))
+            }
+            Err(div) => {
+                first_divergence.fetch_min(j, Ordering::Relaxed);
+                Some(Err(div))
+            }
+        }
+    });
+    let mut out: Vec<StateValues> = Vec::new();
+    for states in results.into_iter().flatten() {
+        out.extend(states?);
     }
-    out.sort_by(|a, b| a.iter().map(|(_, v)| v).cmp(b.iter().map(|(_, v)| v)));
+    // Equal elements are identical, so the unstable sort loses nothing.
+    out.sort_unstable_by(by_values);
     out.dedup();
     Ok(out)
+}
+
+fn by_values(a: &StateValues, b: &StateValues) -> std::cmp::Ordering {
+    a.iter().map(|(_, v)| v).cmp(b.iter().map(|(_, v)| v))
 }
 
 #[cfg(test)]
@@ -573,5 +679,129 @@ mod tests {
         // But lw diverges even under random secrets (cold/warm cache).
         let safe2 = [Mnemonic::Lw];
         let _ = generate_examples(&d, &m, &safe2, 1, 5); // may or may not diverge
+    }
+
+    /// The thread counts the invariance tests compare.
+    const THREADS: [usize; 3] = [1, 2, 4];
+
+    /// Every pair job of example generation (two pairs per instruction),
+    /// run serially in job order over the public per-pair API: the
+    /// independent reference for the fanned-out implementation.
+    fn serial_jobs(
+        d: &Design,
+        m: &Miter,
+        safe: &[Mnemonic],
+        seed: u64,
+        mask: bool,
+    ) -> Vec<Result<Vec<StateValues>, Divergence>> {
+        let mut out = Vec::new();
+        for (k, &mn) in safe.iter().enumerate() {
+            let (prog, window) = example_program(d, mn);
+            for config in random_configs(d, 2, seed ^ ((k as u64) << 8)) {
+                out.push(run_program_pair_window(
+                    d, m, mn, &prog, &config, window, mask,
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn example_set_is_identical_at_every_thread_count() {
+        let safe = [
+            Mnemonic::Add,
+            Mnemonic::Sub,
+            Mnemonic::Xor,
+            Mnemonic::Mul,
+            Mnemonic::Slli,
+        ];
+        for d in [rocket_lite(16), boom_lite(BoomVariant::Small, 16)] {
+            let m = Miter::build(&d.netlist);
+            for mask in [true, false] {
+                let mut expected: Vec<StateValues> = serial_jobs(&d, &m, &safe, 0xD1CE, mask)
+                    .into_iter()
+                    .flat_map(|job| job.expect("safe set"))
+                    .collect();
+                expected.sort_by(by_values);
+                expected.dedup();
+                for threads in THREADS {
+                    let got = generate_examples_threaded(
+                        &d,
+                        &m,
+                        &safe,
+                        2,
+                        0xD1CE,
+                        mask,
+                        &EXAMPLE_RDS,
+                        threads,
+                    )
+                    .expect("safe set");
+                    assert!(
+                        got == expected,
+                        "{} mask={mask} threads={threads}: example sets differ",
+                        d.netlist.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn earliest_divergence_is_reported_at_every_thread_count() {
+        // sw and lw both diverge under these random secrets (cold vs warm
+        // cache); sw's divergence comes first in job order.
+        let safe = [Mnemonic::Sw, Mnemonic::Add, Mnemonic::Lw, Mnemonic::Xor];
+        for d in [rocket_lite(16), boom_lite(BoomVariant::Small, 16)] {
+            let m = Miter::build(&d.netlist);
+            let all: Vec<(Mnemonic, usize)> = serial_jobs(&d, &m, &safe, 0xD1CE, true)
+                .into_iter()
+                .filter_map(|job| job.err().map(|div| (div.mnemonic, div.cycle)))
+                .collect();
+            assert!(
+                all.iter().any(|&(mn, _)| mn == Mnemonic::Sw)
+                    && all.iter().any(|&(mn, _)| mn == Mnemonic::Lw),
+                "{}: both members must diverge, got {all:?}",
+                d.netlist.name()
+            );
+            for threads in THREADS {
+                let got = generate_examples_threaded(
+                    &d,
+                    &m,
+                    &safe,
+                    2,
+                    0xD1CE,
+                    true,
+                    &EXAMPLE_RDS,
+                    threads,
+                )
+                .expect_err("sw and lw diverge");
+                assert_eq!(
+                    (got.mnemonic, got.cycle),
+                    all[0],
+                    "{} threads={threads}",
+                    d.netlist.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn difftest_verdicts_are_identical_at_every_thread_count() {
+        let d = boom_lite(BoomVariant::Small, 16);
+        let m = Miter::build(&d.netlist);
+        let candidates = hh_isa::ALL_MNEMONICS;
+        let verdict = |div: Option<Divergence>| div.map(|div| (div.mnemonic, div.cycle));
+        let expected: Vec<_> = candidates
+            .iter()
+            .map(|&mn| verdict(differential_test(&d, &m, mn)))
+            .collect();
+        assert!(expected.iter().any(Option::is_some) && expected.iter().any(Option::is_none));
+        for threads in THREADS {
+            let got: Vec<_> = differential_tests(&d, candidates, threads)
+                .into_iter()
+                .map(verdict)
+                .collect();
+            assert_eq!(got, expected, "threads={threads}");
+        }
     }
 }

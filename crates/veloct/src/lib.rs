@@ -36,7 +36,7 @@
 
 pub mod examples;
 
-use examples::{differential_test, generate_examples, Divergence};
+use examples::{generate_examples, Divergence};
 use hh_isa::{safe_set_patterns, InstrClass, Instruction, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::miter::Miter;
 use hh_smt::EncodeCache;
@@ -50,7 +50,9 @@ use std::sync::Arc;
 /// Configuration of the VeloCT pipeline.
 #[derive(Debug, Clone)]
 pub struct VeloctConfig {
-    /// Worker threads for the parallel engine.
+    /// Worker threads for the pipeline: the differential prefilter and
+    /// example generation fan their simulations out over them, then the
+    /// parallel engine runs on them. Results are identical at every count.
     pub threads: usize,
     /// Engine configuration (abduction scope, memoisation).
     pub engine: EngineConfig,
@@ -269,13 +271,15 @@ impl<'a> Veloct<'a> {
         // point of the extension) — generate raw examples instead.
         let mask = !self.config.impl_predicates;
         let example_span = hh_trace::span!("veloct", "veloct.examples");
-        let examples = match examples::generate_examples_opts(
+        let examples = match examples::generate_examples_threaded(
             self.design,
             &miter,
             safe,
             self.config.pairs_per_instr,
             self.config.seed,
             mask,
+            &examples::EXAMPLE_RDS,
+            self.config.threads,
         ) {
             Ok(e) => e,
             Err(div) => {
@@ -407,13 +411,14 @@ impl<'a> Veloct<'a> {
     /// bounded greedy-drop fallback if learning fails.
     pub fn classify(&self, candidates: &[Mnemonic]) -> SafeSetReport {
         let _span = hh_trace::span!("veloct", "veloct.classify");
-        let (probe_miter, _) = self.build_miter(candidates);
         let mut rejected: Vec<(Mnemonic, UnsafeReason)> = Vec::new();
         let mut survivors: Vec<Mnemonic> = Vec::new();
         {
             let _difftest = hh_trace::span!("veloct", "veloct.difftest");
-            for &m in candidates {
-                match differential_test(self.design, &probe_miter, m) {
+            let verdicts =
+                examples::differential_tests(self.design, candidates, self.config.threads);
+            for (&m, verdict) in candidates.iter().zip(verdicts) {
+                match verdict {
                     Some(div) => rejected.push((m, UnsafeReason::TimingDivergence(div.cycle))),
                     None => survivors.push(m),
                 }
@@ -590,5 +595,31 @@ mod tests {
         assert!(c.contains(&Mnemonic::Add));
         assert!(c.contains(&Mnemonic::Mul));
         assert!(c.contains(&Mnemonic::Lw));
+    }
+
+    #[test]
+    fn classify_is_identical_at_every_thread_count() {
+        for d in [
+            rocket_lite(16),
+            hh_uarch::boomlite::boom_lite(hh_uarch::boomlite::BoomVariant::Small, 16),
+        ] {
+            let run = |threads| {
+                let config = VeloctConfig {
+                    threads,
+                    pairs_per_instr: 1,
+                    ..VeloctConfig::default()
+                };
+                Veloct::with_config(&d, config).classify(&default_candidates())
+            };
+            let one = run(1);
+            let two = run(2);
+            let preds = |r: &SafeSetReport| r.invariant.as_ref().map(|i| i.preds().to_vec());
+            assert!(one.invariant.is_some(), "{}", d.netlist.name());
+            assert_eq!(one.safe, two.safe);
+            assert_eq!(one.rejected, two.rejected);
+            assert_eq!(preds(&one), preds(&two));
+            assert_eq!(one.num_examples, two.num_examples);
+            assert_eq!(one.solutions, two.solutions);
+        }
     }
 }
