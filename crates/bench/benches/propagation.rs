@@ -14,18 +14,13 @@
 //!   bookkeeping and restarts all engage.
 //!
 //! Both run under the default (flat-arena, glucose, tiered, chronological
-//! backtracking, flat watch lists, vivification) configuration, under
-//! single-knob A/B arms (`modern_nochrono`, `modern_nested` — nested watch
-//! Vecs, `modern_novivify`), and under `Config::seed_baseline()` so the
-//! heuristic deltas are visible next to each other in the Criterion report.
-//! A third group, `*/portfolio_*`, A/Bs deterministic portfolio racing
-//! (DESIGN.md ablation 12): the ladder measures pure racing overhead (no
-//! conflicts — the diversified arm never engages), while the search
-//! workload races for real once the opening budget slice is exceeded.
+//! backtracking, flat watch lists) configuration, under single-knob A/B
+//! arms (`modern_nochrono`, `modern_nested` — nested watch Vecs), and under
+//! `Config::seed_baseline()` so the heuristic deltas are visible next to
+//! each other in the Criterion report.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hh_sat::{Config, Lit, SolveResult, Solver, Var};
-use hh_smt::portfolio::race_with;
 
 /// Chain length of the implication ladder (also its variable count).
 const LADDER_VARS: usize = 2_000;
@@ -111,21 +106,11 @@ fn modern_nested() -> Config {
     }
 }
 
-/// The default configuration with clause vivification turned off —
-/// isolates inprocessing strengthening (DESIGN.md ablation 13b).
-fn modern_novivify() -> Config {
-    Config {
-        vivify: false,
-        ..Config::default()
-    }
-}
-
 fn bench(c: &mut Criterion) {
     for (tag, config) in [
         ("modern", Config::default()),
         ("modern_nochrono", modern_nochrono()),
         ("modern_nested", modern_nested()),
-        ("modern_novivify", modern_novivify()),
         ("seed_baseline", Config::seed_baseline()),
     ] {
         let (mut s, trigger) = ladder(config);
@@ -148,7 +133,6 @@ fn bench(c: &mut Criterion) {
         ("modern", Config::default()),
         ("modern_nochrono", modern_nochrono()),
         ("modern_nested", modern_nested()),
-        ("modern_novivify", modern_novivify()),
         ("seed_baseline", Config::seed_baseline()),
     ] {
         c.bench_function(&format!("search/{tag}"), |b| {
@@ -161,41 +145,6 @@ fn bench(c: &mut Criterion) {
                     s.add_clause(cl);
                 }
                 black_box(s.solve())
-            })
-        });
-    }
-
-    // Portfolio on/off: identical workloads, solved solo vs raced. The
-    // ladder never conflicts, so its race concludes inside the opening
-    // slice — the delta there is the racing scaffolding itself. The search
-    // workload exceeds a 512-conflict opening slice and races for real.
-    for (tag, portfolio) in [("solo", false), ("race", true)] {
-        let (mut s, trigger) = ladder(Config::default());
-        c.bench_function(&format!("propagation/portfolio_{tag}"), |b| {
-            b.iter(|| {
-                if portfolio {
-                    black_box(race_with(&mut s, black_box(&[trigger]), 512).0)
-                } else {
-                    black_box(s.solve_with_assumptions(black_box(&[trigger])))
-                }
-            })
-        });
-    }
-    for (tag, portfolio) in [("solo", false), ("race", true)] {
-        c.bench_function(&format!("search/portfolio_{tag}"), |b| {
-            b.iter(|| {
-                let mut s = Solver::new();
-                for _ in 0..SEARCH_VARS {
-                    s.new_var();
-                }
-                for cl in &formula {
-                    s.add_clause(cl);
-                }
-                if portfolio {
-                    black_box(race_with(&mut s, &[], 512).0)
-                } else {
-                    black_box(s.solve())
-                }
             })
         });
     }

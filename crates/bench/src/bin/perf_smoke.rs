@@ -6,12 +6,10 @@
 //! cargo run -p hh-bench --release --bin perf_smoke
 //! ```
 //!
-//! Five gates:
+//! Gates:
 //!
 //! * session reuse must answer the retry stream at least 1.5x faster than
 //!   rebuilding the cone encoding per query,
-//! * `Solver::simplify()` must produce a measurable CNF reduction on the
-//!   query cone (fewer free variables or fewer live clauses),
 //! * cross-target cone sharing (DESIGN.md ablation 9) must show encode-cache
 //!   hits and an encode-time reduction on an OoO core while leaving the
 //!   learned invariant bit-identical in all four sharing quadrants and
@@ -31,30 +29,22 @@
 //!   cost of the sink-absent branch times the number of proof events the
 //!   certified run's obligations record,
 //! * the flat-arena solver configuration (glucose restarts, tiered learnt
-//!   DB, best-phase saving, flat watch lists, clause vivification — the
-//!   default) must answer the scaled design's assumption-query stream at
-//!   least 15% faster than `hh_sat::Config::seed_baseline()` (DESIGN.md
-//!   ablations 11 and 13), with both configurations returning identical
-//!   answers, and
+//!   DB, best-phase saving, flat watch lists — the default) must answer the
+//!   scaled design's assumption-query stream at least 15% faster than
+//!   `hh_sat::Config::seed_baseline()` (DESIGN.md ablation 11), with both
+//!   configurations returning identical answers, and
 //! * attaching a proof sink to that same stream must cost less than 2% of
 //!   the unlogged stream's wall-clock — measured as the per-event sink cost
 //!   times the stream's proof-event count (like the off-mode gates; the
-//!   end-to-end difference of two ~20 ms runs is scheduling noise),
-//! * the same stream driven through deterministic portfolio racing
-//!   (`hh_smt::portfolio`, chrono backtracking on — DESIGN.md ablation 12)
-//!   must also beat `seed_baseline()` by >= 10% with identical answers —
-//!   racing is pure scheduling, never a semantic change — and
-//! * the sharing-quadrant determinism check re-runs with portfolio racing
-//!   enabled at 1/2/4 worker threads: the learned invariant must stay
-//!   bit-identical to the reference quadrants.
+//!   end-to-end difference of two ~20 ms runs is scheduling noise).
 //!
 //! `--scale N` deepens the scaled design's issue queues and reorder buffer
 //! (`hh_bench::scaled_target`) so the solver-time gates have headroom beyond
 //! the saturated Table 1 size; the arena gates default to depth 2.
 //!
-//! Results (including the before/after CNF sizes, the simplification
-//! counters, the sharing quadrant matrix, the tracing overhead numbers and
-//! the arena solver counters) are written to `bench_results/perf_smoke.json`.
+//! Results (including the word-level simplification counters, the sharing
+//! quadrant matrix, the tracing overhead numbers and the arena solver
+//! counters) are written to `bench_results/perf_smoke.json`.
 
 use hh_bench::{
     all_targets, known_safe_set, learn_run_config, parse_scale, prepare, scaled_target, secs,
@@ -71,13 +61,8 @@ const RETRIES: usize = 4;
 const ROUNDS: usize = 5;
 /// Minimum acceptable fresh/session time ratio.
 const MIN_SPEEDUP: f64 = 1.5;
-/// Minimum acceptable seed-baseline/modern solver time ratio on the scaled
-/// design's assumption-query stream for the raced configuration
-/// (DESIGN.md ablation 12).
-const MIN_ARENA_SPEEDUP: f64 = 1.10;
-/// Minimum acceptable seed-baseline/modern ratio for the plain (solo)
-/// stream now that the modern config also carries the flat watch arena and
-/// clause vivification (DESIGN.md ablation 13).
+/// Minimum acceptable seed-baseline/modern ratio on the scaled design's
+/// assumption-query stream (DESIGN.md ablation 11).
 const MIN_STREAM_SPEEDUP: f64 = 1.15;
 
 fn main() {
@@ -121,39 +106,21 @@ fn main() {
     }
     let speedup = fresh_s / session_s;
 
-    // CNF reduction on the query cone: blast once, simplify, compare.
+    // Word-level simplification on the query cone: blast it once.
     let mut enc = TransitionEncoding::new(miter.netlist());
     let p_now = target.encode_current(&mut enc);
     enc.assert_lit(p_now);
     let p_next = target.encode_next(&mut enc);
     enc.assert_lit(!p_next);
     for c in &cands {
-        let l = c.encode_current(&mut enc);
-        enc.cnf_mut().solver_mut().freeze(l.var());
+        c.encode_current(&mut enc);
     }
     let word = enc.simp_stats();
-    let solver = enc.cnf_mut().solver_mut();
-    let before = (solver.num_free_vars(), solver.num_live_clauses());
-    assert!(solver.simplify(), "query cone must not be trivially unsat");
-    let after = (solver.num_free_vars(), solver.num_live_clauses());
-    let sat = solver.stats();
 
-    println!("Perf smoke — incremental sessions + simplification");
+    println!("Perf smoke — incremental sessions");
     println!("  fresh   {fresh_s:.3}s for {ROUNDS}x{RETRIES} queries");
     println!("  session {session_s:.3}s for {ROUNDS}x{RETRIES} queries");
     println!("  speedup {speedup:.2}x (gate: >= {MIN_SPEEDUP}x)");
-    println!(
-        "  cnf     vars {} -> {}, clauses {} -> {}",
-        before.0, after.0, before.1, after.1
-    );
-    println!(
-        "  sat     BVE {}, subsumed {}, strengthened {}, probed {}",
-        sat.eliminated_vars, sat.subsumed_clauses, sat.strengthened_lits, sat.probed_units
-    );
-    println!(
-        "  vivify  {} literals removed, {} clauses deleted",
-        sat.vivified_lits, sat.vivified_deleted
-    );
     println!(
         "  word    folds {}, rewrites {}, strash hits {}",
         word.const_folds, word.rewrites, word.strash_hits
@@ -237,27 +204,6 @@ fn main() {
         );
     }
     println!("  invariant bit-identical across 4 quadrants x threads 1/2/4");
-    // Re-run the determinism sweep with deterministic portfolio racing
-    // enabled (DESIGN.md ablation 12). The primary arm always supplies the
-    // verdict/model/core and easy obligations never exceed the opening
-    // budget slice, so racing must be invisible in the learned invariant.
-    for threads in [1usize, 2, 4] {
-        let cfg = EngineConfig {
-            abduction: AbductionConfig {
-                portfolio: true,
-                ..AbductionConfig::paper_default()
-            },
-            ..EngineConfig::default()
-        };
-        let run = learn_run_config(&boom.design, &boom_safe, threads, cfg, true);
-        let inv = run.invariant.as_ref().expect("portfolio run must learn");
-        assert_eq!(
-            fingerprint(inv),
-            reference,
-            "invariant differs with portfolio racing at threads={threads}"
-        );
-    }
-    println!("  invariant bit-identical with portfolio racing at threads 1/2/4");
     let encode_off = secs(quadrants[0].3.encode_time);
     let encode_on = secs(quadrants[3].3.encode_time);
     println!("  encode time {encode_off:.3}s (no sharing) -> {encode_on:.3}s (full sharing)");
@@ -383,7 +329,7 @@ fn main() {
     // ------------------------------------------------------------------
     // Arena raw-speed gates (DESIGN.md ablation 11). The scaled design's
     // query cone, replayed as an incremental assumption-query stream, must
-    // be >= 10% faster under the flat-arena solver's default configuration
+    // be >= 15% faster under the flat-arena solver's default configuration
     // (glucose adaptive restarts, three-tier learnt DB, best-phase saving)
     // than under `Config::seed_baseline()` (Luby restarts, no mid tier, no
     // best phases — the seed solver's heuristics on the same arena), with
@@ -420,10 +366,8 @@ fn main() {
 
     // One stream = the abduction suffix sweep the engines actually issue:
     // assume cands[k..], solve, for every k. Deterministic, conflict-driven,
-    // identical for both configurations. (The stream is too short for
-    // `simplify_interval` to fire, so vivification's counters are reported
-    // from the explicit-simplify section above; this gate isolates the
-    // search and propagation layers — flat watches included.)
+    // identical for both configurations; the gate isolates the search and
+    // propagation layers, flat watches included.
     let run_stream = |cfg: hh_sat::Config, proof: bool| {
         let mut s = hh_sat::Solver::with_config(cfg);
         while s.num_vars() < m_vars {
@@ -443,43 +387,13 @@ fn main() {
         (secs(t.elapsed()), answers, s.stats())
     };
 
-    // The same sweep raced through the deterministic portfolio (primary =
-    // the incremental solver above under the default config, diversified
-    // arm engaged only past the opening budget slice). Candidate vars are
-    // frozen so a lazily-built diversified arm sees them intact.
-    let run_race_stream = || {
-        let mut s = hh_sat::Solver::with_config(hh_sat::Config::default());
-        while s.num_vars() < m_vars {
-            s.new_var();
-        }
-        for l in &cand_lits {
-            s.freeze(l.var());
-        }
-        for c in &m_formula {
-            s.add_clause(c);
-        }
-        let mut races = 0u64;
-        let mut arm_wins = 0u64;
-        let t = Instant::now();
-        let mut answers = Vec::new();
-        for k in 0..cand_lits.len() {
-            let (res, report) = hh_smt::portfolio::race(&mut s, &cand_lits[k..]);
-            races += report.races;
-            arm_wins += report.arm_wins;
-            answers.push(res);
-        }
-        (secs(t.elapsed()), answers, s.stats(), races, arm_wins)
-    };
-
     // Best-of-ROUNDS per configuration: the min is the standard noise-robust
     // estimator for a deterministic workload (every round does identical
     // work; anything above the min is scheduling/cache interference).
     let mut modern_s = f64::INFINITY;
     let mut seed_s = f64::INFINITY;
     let mut proof_on_s = f64::INFINITY;
-    let mut portfolio_s = f64::INFINITY;
     let (mut modern_stats, mut seed_stats, mut proof_stats) = (None, None, None);
-    let mut race_stats = None;
     for _ in 0..ROUNDS {
         let (t, a, st) = run_stream(hh_sat::Config::default(), false);
         modern_s = modern_s.min(t);
@@ -489,20 +403,14 @@ fn main() {
         let (t3, a3, st3) = run_stream(hh_sat::Config::default(), true);
         proof_on_s = proof_on_s.min(t3);
         assert_eq!(a, a3, "proof logging changed an answer");
-        let (t4, a4, st4, races, arm_wins) = run_race_stream();
-        portfolio_s = portfolio_s.min(t4);
-        assert_eq!(a, a4, "portfolio racing changed a stream answer");
         modern_stats = Some(st);
         seed_stats = Some(st2);
         proof_stats = Some(st3);
-        race_stats = Some((st4, races, arm_wins));
     }
     let modern_stats = modern_stats.unwrap();
     let seed_stats = seed_stats.unwrap();
     let proof_stats: hh_sat::SolverStats = proof_stats.unwrap();
-    let (race_solver_stats, race_races, race_arm_wins) = race_stats.unwrap();
     let arena_speedup = seed_s / modern_s;
-    let portfolio_speedup = seed_s / portfolio_s;
     let props_per_s = modern_stats.propagations as f64 / modern_s;
     let conflicts_per_s = modern_stats.conflicts as f64 / modern_s;
 
@@ -548,15 +456,6 @@ fn main() {
         "  chrono  {} chrono backtracks (modern stream)",
         modern_stats.chrono_backtracks
     );
-    println!(
-        "  race    {portfolio_s:.3}s ({} races, {} arm wins, {} budget rounds, \
-         {} chrono backtracks)",
-        race_races,
-        race_arm_wins,
-        race_solver_stats.budget_rounds,
-        race_solver_stats.chrono_backtracks
-    );
-    println!("  portfolio speedup {portfolio_speedup:.2}x (gate: >= {MIN_ARENA_SPEEDUP}x)");
     println!(
         "  arena   {} bytes, reduce {} us, {} compactions, {} restart blocks",
         modern_stats.arena_bytes,
@@ -618,15 +517,6 @@ fn main() {
             modern_stats.chrono_backtracks as f64,
             "backtracks",
         ),
-        ("arena_portfolio_s", portfolio_s, "s"),
-        ("portfolio_speedup", portfolio_speedup, "x"),
-        ("portfolio.races", race_races as f64, "races"),
-        ("portfolio.arm_wins", race_arm_wins as f64, "wins"),
-        (
-            "sat.budget_rounds",
-            race_solver_stats.budget_rounds as f64,
-            "rounds",
-        ),
     ] {
         report.push("perf_smoke", mega.name, key, value, unit);
     }
@@ -634,29 +524,7 @@ fn main() {
     report.push("perf_smoke", name, "fresh_s", fresh_s, "s");
     report.push("perf_smoke", name, "session_s", session_s, "s");
     report.push("perf_smoke", name, "session_speedup", speedup, "x");
-    report.push("perf_smoke", name, "vars_before", before.0 as f64, "vars");
-    report.push("perf_smoke", name, "vars_after", after.0 as f64, "vars");
-    report.push(
-        "perf_smoke",
-        name,
-        "clauses_before",
-        before.1 as f64,
-        "clauses",
-    );
-    report.push(
-        "perf_smoke",
-        name,
-        "clauses_after",
-        after.1 as f64,
-        "clauses",
-    );
     for (key, value, unit) in [
-        ("sat_eliminated_vars", sat.eliminated_vars, "vars"),
-        ("sat_subsumed_clauses", sat.subsumed_clauses, "clauses"),
-        ("sat_strengthened_lits", sat.strengthened_lits, "lits"),
-        ("sat_probed_units", sat.probed_units, "units"),
-        ("sat_vivified_lits", sat.vivified_lits, "lits"),
-        ("sat_vivified_deleted", sat.vivified_deleted, "clauses"),
         ("word_const_folds", word.const_folds, "nodes"),
         ("word_rewrites", word.rewrites, "nodes"),
         ("word_strash_hits", word.strash_hits, "nodes"),
@@ -759,10 +627,6 @@ fn main() {
     report.finish("perf_smoke");
 
     assert!(
-        after.0 < before.0 || after.1 < before.1,
-        "simplify produced no CNF reduction: {before:?} -> {after:?}"
-    );
-    assert!(
         speedup >= MIN_SPEEDUP,
         "session-reuse speedup regressed: {speedup:.2}x < {MIN_SPEEDUP}x"
     );
@@ -783,13 +647,8 @@ fn main() {
     );
     assert!(
         arena_speedup >= MIN_STREAM_SPEEDUP,
-        "vivified flat-watch solver does not beat the seed baseline: \
+        "flat-watch solver does not beat the seed baseline: \
          {arena_speedup:.2}x < {MIN_STREAM_SPEEDUP}x on the scaled design"
-    );
-    assert!(
-        portfolio_speedup >= MIN_ARENA_SPEEDUP,
-        "portfolio+chrono stream does not beat the seed baseline: \
-         {portfolio_speedup:.2}x < {MIN_ARENA_SPEEDUP}x on the scaled design"
     );
     assert!(
         stream_proof_overhead < 0.02,

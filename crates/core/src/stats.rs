@@ -64,16 +64,6 @@ pub struct Stats {
     pub encode_time: Duration,
     /// Total time spent inside SAT solving (including minimisation probes).
     pub solve_time: Duration,
-    /// SAT inprocessing passes run across all abduction queries.
-    pub sat_simplifies: u64,
-    /// Variables removed by bounded variable elimination.
-    pub sat_eliminated_vars: u64,
-    /// Clauses deleted by backward subsumption.
-    pub sat_subsumed_clauses: u64,
-    /// Literals removed by self-subsuming resolution.
-    pub sat_strengthened_lits: u64,
-    /// Top-level units found by failed-literal probing.
-    pub sat_probed_units: u64,
     /// Literals propagated across all SAT queries.
     pub sat_propagations: u64,
     /// Conflicts analysed across all SAT queries.
@@ -85,21 +75,9 @@ pub struct Stats {
     pub sat_arena_bytes: u64,
     /// Chronological (one-level) backtracks across all SAT queries.
     pub sat_chrono_backtracks: u64,
-    /// Literals removed from clauses by vivification across all SAT queries.
-    pub sat_vivified_lits: u64,
-    /// Clauses vivification deleted outright across all SAT queries.
-    pub sat_vivified_deleted: u64,
     /// Peak watch-list footprint (bytes) observed across all sessions — a
     /// high-water gauge like `sat_arena_bytes`.
     pub sat_watch_bytes: u64,
-    /// Budgeted `solve_limited` rounds driven across all SAT queries
-    /// (portfolio racing slices).
-    pub sat_budget_rounds: u64,
-    /// Abduction obligations where the portfolio's diversified arm was
-    /// engaged (the primary solver outlived its opening budget slice).
-    pub portfolio_races: u64,
-    /// Races the diversified arm concluded first.
-    pub portfolio_arm_wins: u64,
     /// Word-level constant folds performed by the blaster's simplifier.
     pub word_const_folds: u64,
     /// Word-level algebraic rewrites performed by the blaster's simplifier.
@@ -248,22 +226,12 @@ impl Stats {
         }
         self.encode_time += t.encode_time;
         self.solve_time += t.solve_time;
-        self.sat_simplifies += t.simplifies;
-        self.sat_eliminated_vars += t.eliminated_vars;
-        self.sat_subsumed_clauses += t.subsumed_clauses;
-        self.sat_strengthened_lits += t.strengthened_lits;
-        self.sat_probed_units += t.probed_units;
         self.sat_propagations += t.propagations;
         self.sat_conflicts += t.conflicts;
         self.sat_reduces += t.reduces;
         self.sat_arena_bytes = self.sat_arena_bytes.max(t.arena_bytes);
         self.sat_chrono_backtracks += t.chrono_backtracks;
-        self.sat_vivified_lits += t.vivified_lits;
-        self.sat_vivified_deleted += t.vivified_deleted;
         self.sat_watch_bytes = self.sat_watch_bytes.max(t.watch_bytes);
-        self.sat_budget_rounds += t.budget_rounds;
-        self.portfolio_races += t.portfolio_races;
-        self.portfolio_arm_wins += t.portfolio_arm_wins;
         self.word_const_folds += t.const_folds;
         self.word_rewrites += t.rewrites;
         self.word_strash_hits += t.strash_hits;
@@ -339,22 +307,12 @@ impl Stats {
         self.clauses_saved += other.clauses_saved;
         self.encode_time += other.encode_time;
         self.solve_time += other.solve_time;
-        self.sat_simplifies += other.sat_simplifies;
-        self.sat_eliminated_vars += other.sat_eliminated_vars;
-        self.sat_subsumed_clauses += other.sat_subsumed_clauses;
-        self.sat_strengthened_lits += other.sat_strengthened_lits;
-        self.sat_probed_units += other.sat_probed_units;
         self.sat_propagations += other.sat_propagations;
         self.sat_conflicts += other.sat_conflicts;
         self.sat_reduces += other.sat_reduces;
         self.sat_arena_bytes = self.sat_arena_bytes.max(other.sat_arena_bytes);
         self.sat_chrono_backtracks += other.sat_chrono_backtracks;
-        self.sat_vivified_lits += other.sat_vivified_lits;
-        self.sat_vivified_deleted += other.sat_vivified_deleted;
         self.sat_watch_bytes = self.sat_watch_bytes.max(other.sat_watch_bytes);
-        self.sat_budget_rounds += other.sat_budget_rounds;
-        self.portfolio_races += other.portfolio_races;
-        self.portfolio_arm_wins += other.portfolio_arm_wins;
         self.word_const_folds += other.word_const_folds;
         self.word_rewrites += other.word_rewrites;
         self.word_strash_hits += other.word_strash_hits;
@@ -392,22 +350,12 @@ impl Stats {
             ("smt.word.const_folds", self.word_const_folds),
             ("smt.word.rewrites", self.word_rewrites),
             ("smt.word.strash_hits", self.word_strash_hits),
-            ("sat.simplify.runs", self.sat_simplifies),
-            ("sat.simplify.eliminated_vars", self.sat_eliminated_vars),
-            ("sat.simplify.subsumed_clauses", self.sat_subsumed_clauses),
-            ("sat.simplify.strengthened_lits", self.sat_strengthened_lits),
-            ("sat.simplify.probed_units", self.sat_probed_units),
             ("sat.propagations", self.sat_propagations),
             ("sat.conflicts", self.sat_conflicts),
             ("sat.reduce", self.sat_reduces),
             ("sat.arena_bytes", self.sat_arena_bytes),
             ("sat.chrono_backtracks", self.sat_chrono_backtracks),
-            ("sat.vivified_lits", self.sat_vivified_lits),
-            ("sat.vivified_deleted", self.sat_vivified_deleted),
             ("sat.watch_bytes", self.sat_watch_bytes),
-            ("sat.budget_rounds", self.sat_budget_rounds),
-            ("portfolio.races", self.portfolio_races),
-            ("portfolio.arm_wins", self.portfolio_arm_wins),
         ]
     }
 }

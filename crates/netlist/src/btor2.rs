@@ -49,8 +49,11 @@ fn err(line: usize, message: impl Into<String>) -> Btor2Error {
 ///
 /// # Errors
 ///
-/// Returns [`Btor2Error`] on unsupported constructs, malformed lines, or
-/// dangling references.
+/// Returns [`Btor2Error`] on unsupported constructs, malformed lines,
+/// dangling references, or lines that break a [`Netlist`] builder rule
+/// (duplicate names, a second `next`, operand widths that do not fit).
+/// Every rule is checked here, before the builder call that would assert
+/// it, so no input text can panic the parser.
 pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
     let mut netlist = Netlist::new("btor2");
     let mut sorts: HashMap<u64, u32> = HashMap::new();
@@ -117,6 +120,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     anon_counter += 1;
                     format!("input_{id}")
                 });
+                if netlist.find_input(&name).is_some() {
+                    return Err(err(lineno, format!("duplicate input name {name}")));
+                }
                 let node = netlist.input(name, w);
                 nodes.insert(id, node);
             }
@@ -126,6 +132,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     anon_counter += 1;
                     format!("state_{id}")
                 });
+                if netlist.find_state(&name).is_some() {
+                    return Err(err(lineno, format!("duplicate state name {name}")));
+                }
                 let sid = netlist.state(name, w, Bv::zero(w));
                 nodes.insert(id, netlist.state_node(sid));
                 states.insert(id, sid);
@@ -144,7 +153,10 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     toks.get(4).ok_or_else(|| err(lineno, "missing value"))?,
                 )?;
                 match netlist.node(val).op {
-                    NodeOp::Const(c) => netlist.set_init(sid, c),
+                    NodeOp::Const(c) if c.width() == netlist.state_width(sid) => {
+                        netlist.set_init(sid, c)
+                    }
+                    NodeOp::Const(_) => return Err(err(lineno, "init width mismatch")),
                     _ => return Err(err(lineno, "init value must be a constant")),
                 }
             }
@@ -160,8 +172,13 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(4).ok_or_else(|| err(lineno, "missing value"))?,
                 )?;
+                if next_seen.insert(sref, true) == Some(true) {
+                    return Err(err(lineno, format!("second next for state {sref}")));
+                }
+                if netlist.width(val) != netlist.state_width(sid) {
+                    return Err(err(lineno, "next width mismatch"));
+                }
                 netlist.set_next(sid, val);
-                next_seen.insert(sref, true);
             }
             "const" | "constd" | "consth" => {
                 let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
@@ -189,6 +206,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(2).ok_or_else(|| err(lineno, "missing node"))?,
                 )?;
+                if netlist.width(node) != 1 {
+                    return Err(err(lineno, "constraint must be 1 bit"));
+                }
                 netlist.add_constraint(node);
             }
             "output" | "bad" => {
@@ -225,6 +245,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing operand"))?,
                 )?;
+                if w < netlist.width(a) {
+                    return Err(err(lineno, format!("{kind} narrows its operand")));
+                }
                 let node = if kind == "uext" {
                     netlist.uext(a, w)
                 } else {
@@ -246,6 +269,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     .get(5)
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| err(lineno, "bad slice lo"))?;
+                if lo > hi || hi >= netlist.width(a) {
+                    return Err(err(lineno, format!("bad slice [{hi}:{lo}]")));
+                }
                 nodes.insert(id, netlist.slice(a, hi, lo));
             }
             "ite" => {
@@ -262,6 +288,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(5).ok_or_else(|| err(lineno, "missing else"))?,
                 )?;
+                if netlist.width(c) != 1 || netlist.width(t) != netlist.width(e) {
+                    return Err(err(lineno, "ite operand width mismatch"));
+                }
                 nodes.insert(id, netlist.ite(c, t, e));
             }
             // Binary operators.
@@ -276,6 +305,18 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(4).ok_or_else(|| err(lineno, "missing rhs"))?,
                 )?;
+                let (wa, wb) = (netlist.width(a), netlist.width(b));
+                let fits = match kind {
+                    "sll" | "srl" | "sra" => true,
+                    "concat" => wa + wb <= crate::bv::MAX_WIDTH,
+                    _ => wa == wb,
+                };
+                if !fits {
+                    return Err(err(
+                        lineno,
+                        format!("operand widths {wa} and {wb} do not fit `{kind}`"),
+                    ));
+                }
                 let node = match kind {
                     "and" => netlist.and(a, b),
                     "or" => netlist.or(a, b),
@@ -501,6 +542,36 @@ mod tests {
     fn missing_next_is_error() {
         let text = "1 sort bitvec 1\n2 state 1 r\n";
         assert!(parse_btor2(text).is_err());
+    }
+
+    #[test]
+    fn duplicate_state_name_is_error() {
+        let text = "1 sort bitvec 8\n2 state 1 a\n3 state 1 a\n";
+        let e = parse_btor2(text).unwrap_err();
+        assert_eq!(e.line, 3);
+        assert!(e.message.contains("duplicate state name a"), "{e}");
+    }
+
+    #[test]
+    fn second_next_for_a_state_is_error() {
+        let text = "1 sort bitvec 8\n2 state 1 a\n3 next 1 2 2\n4 next 1 2 2\n";
+        let e = parse_btor2(text).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("second next"), "{e}");
+    }
+
+    #[test]
+    fn operand_width_mismatch_is_error() {
+        let text = "\
+1 sort bitvec 8
+2 sort bitvec 4
+3 state 1 a
+4 state 2 b
+5 add 1 3 4
+";
+        let e = parse_btor2(text).unwrap_err();
+        assert_eq!(e.line, 5);
+        assert!(e.message.contains("8 and 4"), "{e}");
     }
 
     #[test]

@@ -87,8 +87,40 @@ fn drive(n: &Netlist, vals: &[u64]) -> Vec<InputValues> {
         .collect()
 }
 
+/// Applies token-level mutations to btor2 text: each `(line, token,
+/// value, dup)` overwrites one token of one line with a small number, and
+/// optionally appends a copy of the mutated line (a repeated id, name or
+/// `next`). Keeps the line structure, so most mutants reach the builder.
+fn mutate_btor2(text: &str, edits: &[(u16, u8, u8, bool)]) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    for &(line, tok, value, dup) in edits {
+        let i = line as usize % lines.len();
+        let mut toks: Vec<String> = lines[i].split_whitespace().map(str::to_string).collect();
+        let t = tok as usize % toks.len();
+        toks[t] = (value % 40).to_string();
+        lines[i] = toks.join(" ");
+        if dup {
+            lines.push(lines[i].clone());
+        }
+    }
+    lines.join("\n")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Untrusted btor2 never panics the reader: mutants of a valid design
+    /// (wrong widths, repeated names and `next` lines, bad references)
+    /// come back as `Ok` or as a `Btor2Error`.
+    #[test]
+    fn mutated_btor2_never_panics(
+        recipes in arb_recipes(),
+        edits in proptest::collection::vec(
+            (any::<u16>(), any::<u8>(), any::<u8>(), any::<bool>()), 1..4),
+    ) {
+        let text = mutate_btor2(&to_btor2(&build(&recipes)), &edits);
+        let _ = parse_btor2(&text);
+    }
 
     /// btor2 round-trip preserves cycle behaviour.
     #[test]

@@ -124,9 +124,12 @@ proptest! {
 
     /// Database reduction and arena compaction only ever *weaken* the DRAT
     /// stream: a proof logged across forced reduce/compact cycles between
-    /// incremental queries still passes the independent checker. Runs where
-    /// an intermediate query already went UNSAT are skipped — the wrapper
-    /// trick certifies one assumption set per stream.
+    /// incremental queries still passes the independent checker, under the
+    /// default configuration and under `Config::seed_baseline()` (nested
+    /// watch lists, binaries in the long lists, an empty mid tier so every
+    /// non-glue learnt clause is reducible). Runs where an intermediate
+    /// query already went UNSAT are skipped — the wrapper trick certifies
+    /// one assumption set per stream.
     #[test]
     fn proofs_check_across_reduce_and_compaction(
         clauses in arb_cnf(7, 30),
@@ -139,87 +142,38 @@ proptest! {
         let to_lits = |set: &[(usize, bool)]| -> Vec<Lit> {
             set.iter().map(|&(v, pos)| vars[v].lit(pos)).collect()
         };
-        let mut s = build_solver(7, &clauses);
-        let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
-        for set in &churn {
-            if s.solve_with_assumptions(&to_lits(set)) == SolveResult::Unsat {
-                // Stream already carries this set's core units; a later
-                // check under different assumptions would be vacuous.
-                return Ok(());
-            }
-            s.debug_force_reduce();
-            s.debug_force_compact();
-        }
         let assumptions: Vec<Lit> = (0..7)
             .filter(|i| (pattern >> i) & 1 == 1)
             .map(|i| vars[i].lit((polarity >> i) & 1 == 1))
             .collect();
-        if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
-            let proof = handle.take_lines();
-            check_proof_with_assumptions(&formula, &assumptions, &proof)
-                .unwrap_or_else(|e| {
-                    panic!("proof broken by reduce/compaction: {e}\nformula: {clauses:?}")
-                });
-        }
-    }
-
-    /// Clause vivification rewrites the database between queries — every
-    /// strengthened clause is logged add-then-delete — and the stream must
-    /// stay checkable across vivify/reduce/compact cycles. All variables
-    /// are frozen so elimination cannot hide them from later assumptions.
-    #[test]
-    fn proofs_check_across_vivification(
-        clauses in arb_cnf(7, 30),
-        churn in proptest::collection::vec(
-            proptest::collection::vec((0..7usize, any::<bool>()), 0..=3), 1..4),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        let to_lits = |set: &[(usize, bool)]| -> Vec<Lit> {
-            set.iter().map(|&(v, pos)| vars[v].lit(pos)).collect()
-        };
-        let mut s = Solver::with_config(Config {
-            vivify: true,
-            vivify_budget: u64::MAX,
-            ..Config::default()
-        });
-        for _ in 0..7 {
-            s.new_var();
-        }
-        for clause in &clauses {
-            s.add_clause(&to_lits(clause));
-        }
-        for v in &vars {
-            s.freeze(*v);
-        }
-        let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
-        for set in &churn {
-            if s.solve_with_assumptions(&to_lits(set)) == SolveResult::Unsat {
-                return Ok(());
+        'configs: for config in [Config::default(), Config::seed_baseline()] {
+            let mut s = Solver::with_config(config);
+            for _ in 0..7 {
+                s.new_var();
             }
-            if !s.simplify() {
-                break;
+            for clause in &clauses {
+                s.add_clause(&to_lits(clause));
             }
-            s.debug_force_reduce();
-            s.debug_force_compact();
-        }
-        let assumptions: Vec<Lit> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| vars[i].lit((polarity >> i) & 1 == 1))
-            .collect();
-        if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
-            let proof = handle.take_lines();
-            check_proof_with_assumptions(&formula, &assumptions, &proof)
-                .unwrap_or_else(|e| {
-                    panic!("proof broken by vivification: {e}\nformula: {clauses:?}")
-                });
+            let formula = dimacs::from_solver(&s).clauses;
+            let sink = MemoryProof::new();
+            let handle = sink.handle();
+            s.set_proof_sink(Box::new(sink));
+            for set in &churn {
+                if s.solve_with_assumptions(&to_lits(set)) == SolveResult::Unsat {
+                    // Stream already carries this set's core units; a later
+                    // check under different assumptions would be vacuous.
+                    continue 'configs;
+                }
+                s.debug_force_reduce();
+                s.debug_force_compact();
+            }
+            if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
+                let proof = handle.take_lines();
+                check_proof_with_assumptions(&formula, &assumptions, &proof)
+                    .unwrap_or_else(|e| {
+                        panic!("proof broken by reduce/compaction: {e}\nformula: {clauses:?}")
+                    });
+            }
         }
     }
 
@@ -262,8 +216,9 @@ proptest! {
     }
 
     /// A solve driven to its verdict through many tiny `solve_limited`
-    /// budget rounds (the portfolio racing pattern) produces one DRAT
-    /// stream across all the suspensions, and it still checks.
+    /// budget rounds (the caller-paced pattern vopr's SAT leg drives)
+    /// produces one DRAT stream across all the suspensions, and it still
+    /// checks.
     #[test]
     fn budgeted_solve_proofs_always_check(clauses in arb_cnf(7, 30), slice in 1u64..8) {
         let mut s = build_solver(7, &clauses);
@@ -282,39 +237,6 @@ proptest! {
             let proof = handle.take_lines();
             check_proof(&formula, &proof)
                 .unwrap_or_else(|e| panic!("budgeted proof rejected: {e}\nformula: {clauses:?}"));
-        }
-    }
-
-    /// A full portfolio race run with a proof sink attached to the primary
-    /// (the deterministically-chosen winner) still yields a checkable DRAT
-    /// stream: the diversified arm's clauses are declined at import under
-    /// proof logging, so every line of the stream is the primary's own
-    /// derivation. Tiny opening slices force the race to actually engage.
-    #[test]
-    fn portfolio_race_proofs_always_check(
-        clauses in arb_cnf(7, 30),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-        slice in 1u64..4,
-    ) {
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        let assumptions: Vec<Lit> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| vars[i].lit((polarity >> i) & 1 == 1))
-            .collect();
-        let mut s = build_solver(7, &clauses);
-        for l in &assumptions {
-            s.freeze(l.var());
-        }
-        let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
-        let (res, _report) = hh_smt::portfolio::race_with(&mut s, &assumptions, slice);
-        if res == SolveResult::Unsat {
-            let proof = handle.take_lines();
-            check_proof_with_assumptions(&formula, &assumptions, &proof)
-                .unwrap_or_else(|e| panic!("portfolio proof rejected: {e}\nformula: {clauses:?}"));
         }
     }
 

@@ -191,6 +191,7 @@ impl WatchStore {
     /// Removes the first watcher of `code` that watches `cref`, preserving
     /// the order of the rest (propagation visit order is part of the
     /// solver's determinism contract). Returns whether one was found.
+    #[cfg(any(test, kani, feature = "kani-harness"))]
     pub(crate) fn remove_first(&mut self, code: usize, cref: ClauseRef) -> bool {
         let n = self.len(code);
         for i in 0..n {
@@ -323,11 +324,11 @@ impl WatchStore {
 }
 
 /// Bounded verification harness for flat-arena compaction under a
-/// BVE-style workload: arbitrary interleavings of pushes (forcing
-/// relocations, which orphan regions) and `remove_first` detachments (what
-/// bounded variable elimination does to a dying clause's watchers), then a
-/// compaction. The live watcher lists must survive byte-for-byte, in
-/// order, with the arena usable afterwards. Proved by Kani under
+/// clause-deletion workload: arbitrary interleavings of pushes (forcing
+/// relocations, which orphan regions) and `remove_first` detachments (a
+/// deleted clause's watchers leaving their lists), then a compaction.
+/// The live watcher lists must survive byte-for-byte, in order, with the
+/// arena usable afterwards. Proved by Kani under
 /// `cargo kani`; compiled and concretely executed under `kani-harness`.
 #[cfg(any(kani, feature = "kani-harness"))]
 #[allow(dead_code)]
@@ -372,7 +373,7 @@ mod verification {
         for _ in 0..OPS {
             let code = arb_below(CODES);
             if arb_below(4) == 0 && !model[code].is_empty() {
-                // BVE detaches a dying clause's watcher.
+                // A deleted clause's watcher leaves its list.
                 let victim = model[code][arb_below(model[code].len())];
                 assert!(store.remove_first(code, ClauseRef(victim)));
                 let pos = model[code].iter().position(|&c| c == victim).unwrap();

@@ -113,76 +113,6 @@ proptest! {
             prop_assert_eq!(s.solve() == SolveResult::Sat, expected);
         }
     }
-
-    /// `simplify()` (probing, subsumption, strengthening, BVE) preserves
-    /// satisfiability on random CNFs.
-    #[test]
-    fn simplify_preserves_satisfiability(clauses in arb_cnf(8, 40)) {
-        let expected = brute_force_sat(8, &clauses);
-        let mut s = build_solver(8, &clauses);
-        let simplify_ok = s.simplify();
-        prop_assert!(simplify_ok || !expected, "simplify derived UNSAT on a SAT formula");
-        prop_assert_eq!(s.solve() == SolveResult::Sat, expected);
-    }
-
-    /// After BVE, models reconstructed from the elimination stack satisfy
-    /// every ORIGINAL clause, not just the resolvent form.
-    #[test]
-    fn reconstructed_models_satisfy_original_clauses(clauses in arb_cnf(10, 50)) {
-        let mut s = build_solver(10, &clauses);
-        if !s.simplify() {
-            // Simplification proved top-level UNSAT; nothing to check.
-            prop_assert_eq!(s.solve(), SolveResult::Unsat);
-            return Ok(());
-        }
-        if s.solve() == SolveResult::Sat {
-            let vars: Vec<Var> = (0..10).map(Var::from_index).collect();
-            for clause in &clauses {
-                let sat = clause.iter().any(|&(v, pos)| s.model_value(vars[v].lit(pos)));
-                prop_assert!(sat, "reconstructed model violates original clause {:?}", clause);
-            }
-        }
-    }
-
-    /// Freeze semantics under assumptions: frozen variables survive
-    /// simplification, and assumption queries issued after simplify return
-    /// the same answers as on an untouched solver.
-    #[test]
-    fn simplify_is_transparent_to_assumptions(
-        clauses in arb_cnf(7, 30),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let assumed: Vec<(usize, bool)> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| (i, (polarity >> i) & 1 == 1))
-            .collect();
-        let mut with_units = clauses.clone();
-        for &(v, pos) in &assumed {
-            with_units.push(vec![(v, pos)]);
-        }
-        let expected = brute_force_sat(7, &with_units);
-
-        let mut s = build_solver(7, &clauses);
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        // Freeze the assumption variables up front (the session pattern),
-        // then simplify, then query.
-        for &(v, _) in &assumed {
-            s.freeze(vars[v]);
-        }
-        let ok = s.simplify();
-        for &(v, _) in &assumed {
-            prop_assert!(!s.is_eliminated(vars[v]), "frozen var eliminated");
-        }
-        let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-        let res = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res == SolveResult::Sat, expected && ok);
-
-        // Interleave: simplify again between queries, then re-check.
-        let _ = s.simplify();
-        let res2 = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res2, res);
-    }
 }
 
 proptest! {
@@ -456,9 +386,9 @@ proptest! {
         }
     }
 
-    /// Racing two configurations by budget rounds never changes the verdict
-    /// either arm would reach alone — the portfolio-soundness property at
-    /// the raw solver level, driven on the diversified arm's config too.
+    /// Alternating budget slices between two solvers with different
+    /// configurations never changes the verdict either would reach alone:
+    /// suspension is lossless for the Luby/no-best-phase config too.
     #[test]
     fn budget_racing_matches_either_arm_alone(
         clauses in arb_cnf(7, 30),
@@ -496,80 +426,4 @@ fn dimacs_roundtrip_through_solver() {
     let cnf = hh_sat::dimacs::parse_dimacs(text).unwrap();
     let mut s = hh_sat::dimacs::load_into_solver(&cnf);
     assert_eq!(s.solve(), SolveResult::Sat);
-}
-
-/// Vivification-heavy config: an unbounded propagation budget so every long
-/// clause is probed in every simplify round.
-fn vivify_heavy() -> Config {
-    Config {
-        vivify: true,
-        vivify_budget: u64::MAX,
-        ..Config::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Vivified formulas are equisatisfiable with the original: explicit
-    /// heavy vivification passes never flip the brute-force verdict, in
-    /// both watch layouts, including a second (fixpoint) pass.
-    #[test]
-    fn vivified_formula_is_equisatisfiable(clauses in arb_cnf(8, 40)) {
-        let expected = brute_force_sat(8, &clauses);
-        for flat in [true, false] {
-            let cfg = Config { flat_watches: flat, ..vivify_heavy() };
-            let mut s = build_solver_with(cfg, 8, &clauses);
-            let ok = s.simplify();
-            prop_assert!(ok || !expected, "vivify derived UNSAT on a SAT formula");
-            prop_assert_eq!(s.solve() == SolveResult::Sat, expected, "flat={}", flat);
-            let ok2 = s.simplify();
-            prop_assert!(ok2 || !expected);
-            prop_assert_eq!(s.solve() == SolveResult::Sat, expected, "flat={} pass 2", flat);
-        }
-    }
-
-    /// Vivification under assumptions with frozen indicator variables:
-    /// frozen vars are never eliminated, assumption queries still agree
-    /// with the reference semantics, and vivify rounds interleaved between
-    /// queries change no verdict.
-    #[test]
-    fn vivify_respects_frozen_indicators(
-        clauses in arb_cnf(7, 30),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let assumed: Vec<(usize, bool)> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| (i, (polarity >> i) & 1 == 1))
-            .collect();
-        let mut with_units = clauses.clone();
-        for &(v, pos) in &assumed {
-            with_units.push(vec![(v, pos)]);
-        }
-        let expected = brute_force_sat(7, &with_units);
-
-        let mut s = build_solver_with(vivify_heavy(), 7, &clauses);
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        for &(v, _) in &assumed {
-            s.freeze(vars[v]);
-        }
-        let ok = s.simplify();
-        for &(v, _) in &assumed {
-            prop_assert!(!s.is_eliminated(vars[v]), "frozen indicator eliminated");
-        }
-        let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-        let res = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res == SolveResult::Sat, expected && ok);
-
-        // Vivify again between queries, then re-check both the assumption
-        // query and the assumption-free formula.
-        let ok2 = s.simplify();
-        prop_assert!(ok2 || !brute_force_sat(7, &clauses));
-        prop_assert_eq!(s.solve_with_assumptions(&assumptions), res);
-        prop_assert_eq!(
-            s.solve() == SolveResult::Sat,
-            brute_force_sat(7, &clauses) && ok2
-        );
-    }
 }

@@ -149,3 +149,104 @@ fn serve_trace_vocabulary_matches_docs() {
         }
     }
 }
+
+/// Collects every `.rs` file under `dir`, recursively, in sorted order.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Reads a string literal at the start of `s` (after whitespace), returning
+/// its contents and the rest of the input. `None` when `s` does not start
+/// with a plain literal (e.g. the `$name` fragments of a macro definition).
+fn string_literal(s: &str) -> Option<(&str, &str)> {
+    let s = s.trim_start().strip_prefix('"')?;
+    let end = s.find('"')?;
+    Some((&s[..end], &s[end + 1..]))
+}
+
+/// The record names of every `span!`/`event!`/`counter!` call in `text`
+/// whose category and name are literals.
+fn macro_record_names(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    for mac in ["span!(", "event!(", "counter!("] {
+        let mut rest = text;
+        while let Some(pos) = rest.find(mac) {
+            rest = &rest[pos + mac.len()..];
+            let name = string_literal(rest)
+                .and_then(|(_cat, tail)| tail.trim_start().strip_prefix(','))
+                .and_then(string_literal)
+                .map(|(name, _)| name);
+            if let Some(name) = name {
+                out.push(name.to_string());
+            }
+        }
+    }
+    out
+}
+
+/// The trace vocabulary has one source of truth: the first column of every
+/// table in `docs/TRACE_SCHEMA.md` equals the set of record names the code
+/// can produce — the literal `span!`/`event!`/`counter!` names in
+/// `crates/*/src` plus the `Stats::counters()` projection. A row left
+/// behind by a deleted feature, or a record added without a row, fails
+/// here. hh-trace's own unit tests and doc examples use the `t.*` and
+/// `demo.*` names, which are not part of the vocabulary.
+#[test]
+fn trace_vocabulary_matches_schema() {
+    use std::collections::BTreeSet;
+    let root = repo_root();
+    let mut files = Vec::new();
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/ exists")
+        .filter_map(|e| e.ok().map(|e| e.path().join("src")))
+        .filter(|p| p.is_dir())
+        .collect();
+    crates.sort();
+    for src in &crates {
+        rust_files(src, &mut files);
+    }
+    let mut produced = BTreeSet::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        for name in macro_record_names(&text) {
+            if !name.starts_with("t.") && !name.starts_with("demo.") {
+                produced.insert(name);
+            }
+        }
+    }
+    for (name, _) in hhoudini::Stats::default().counters() {
+        produced.insert(name.to_string());
+    }
+    assert!(
+        produced.len() >= 40,
+        "trace vocabulary scan found too little: {produced:?}"
+    );
+
+    let schema = std::fs::read_to_string(root.join("docs/TRACE_SCHEMA.md")).unwrap();
+    let documented: BTreeSet<String> = schema
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|cell| cell.split('`').next())
+        .map(str::to_string)
+        .collect();
+
+    let undocumented: Vec<&String> = produced.difference(&documented).collect();
+    let stale: Vec<&String> = documented.difference(&produced).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "TRACE_SCHEMA.md out of sync with the code\n\
+         produced but not documented: {undocumented:?}\n\
+         documented but never produced: {stale:?}"
+    );
+}

@@ -661,6 +661,35 @@ fn error_vocabulary_round_trips() {
     daemon.stop();
 }
 
+/// A btor2 text that breaks a netlist builder rule (here a duplicate state
+/// name) is parsed while the daemon holds its state lock. It must come back
+/// as `bad-design`, not a panic: a panic would poison the lock, and every
+/// later request on any connection would fail.
+#[test]
+fn builder_rule_violation_in_btor2_leaves_daemon_serving() {
+    let daemon = Daemon::start(None);
+    let mut c = daemon.client();
+    expect_server_error(
+        c.request(
+            "learn",
+            vec![(
+                "design",
+                Json::obj(vec![
+                    ("name", Json::Str("dup".to_string())),
+                    (
+                        "btor2",
+                        Json::Str("1 sort bitvec 8\n2 state 1 a\n3 state 1 a\n".to_string()),
+                    ),
+                    ("instr_input", Json::Str("instr".to_string())),
+                ]),
+            )],
+        ),
+        "bad-design",
+    );
+    assert!(daemon.client().status().is_ok());
+    daemon.stop();
+}
+
 /// Version and framing errors, spoken raw (the typed client cannot produce
 /// them): wrong `v` answers bad-version, a non-JSON body answers bad-json,
 /// and both leave the connection usable.

@@ -329,12 +329,6 @@ impl<'a> AbductionSession<'a> {
                     let cl = cand.encode_current(enc);
                     let a = enc.cnf_mut().fresh();
                     enc.cnf_mut().clause(&[!a, cl]);
-                    // Protect the indicator and the predicate literal from
-                    // variable elimination: both are re-assumed / re-linked
-                    // on later queries, after inprocessing may have run.
-                    let solver = enc.cnf_mut().solver_mut();
-                    solver.freeze(a.var());
-                    solver.freeze(cl.var());
                     let s = self.indicators.len();
                     self.indicators.push(a);
                     self.strength.push(strength_key(cand));
@@ -367,25 +361,7 @@ impl<'a> AbductionSession<'a> {
         let solver = enc.cnf_mut().solver_mut();
         let before = solver.stats();
         let assumptions: Vec<Lit> = assumed.iter().map(|&(l, _, _)| l).collect();
-        // Portfolio racing is suspended while a proof sink is attached: the
-        // flow-back import would be declined anyway (it is underivable from
-        // the primary's own DRAT stream), and a single-arm run keeps the
-        // certificate self-contained.
-        let (verdict, race) = if self.config.portfolio && !solver.proof_active() {
-            crate::portfolio::race_with(solver, &assumptions, self.config.portfolio_first_slice)
-        } else {
-            (
-                solver.solve_with_assumptions(&assumptions),
-                crate::portfolio::RaceReport::default(),
-            )
-        };
-        if race.races > 0 {
-            hh_trace::counter!("smt", "portfolio.races", race.races);
-        }
-        if race.arm_wins > 0 {
-            hh_trace::counter!("smt", "portfolio.arm_wins", race.arm_wins);
-        }
-        let abduct = match verdict {
+        let abduct = match solver.solve_with_assumptions(&assumptions) {
             SolveResult::Sat => None,
             SolveResult::Unsat => {
                 let core = solver.unsat_core().to_vec();
@@ -437,11 +413,6 @@ impl<'a> AbductionSession<'a> {
                 encode_time,
                 solve_time,
                 cached: reused,
-                simplifies: after.simplifies - before.simplifies,
-                eliminated_vars: after.eliminated_vars - before.eliminated_vars,
-                subsumed_clauses: after.subsumed_clauses - before.subsumed_clauses,
-                strengthened_lits: after.strengthened_lits - before.strengthened_lits,
-                probed_units: after.probed_units - before.probed_units,
                 // Word-level counters belong to the encoding, built once per
                 // session: attribute them to the first (fresh) query only.
                 const_folds: if reused { 0 } else { simp.const_folds },
@@ -452,11 +423,6 @@ impl<'a> AbductionSession<'a> {
                 cone_clauses_saved,
                 imported_clauses,
                 chrono_backtracks: after.chrono_backtracks - before.chrono_backtracks,
-                budget_rounds: after.budget_rounds - before.budget_rounds,
-                portfolio_races: race.races,
-                portfolio_arm_wins: race.arm_wins,
-                vivified_lits: after.vivified_lits - before.vivified_lits,
-                vivified_deleted: after.vivified_deleted - before.vivified_deleted,
                 watch_bytes: after.watch_bytes,
             },
         }
@@ -734,9 +700,9 @@ mod tests {
     }
 
     #[test]
-    fn pool_export_survives_vivification_and_compaction() {
-        // Regression: a session solver that vivified (deleting and
-        // strengthening learnt clauses) and compacted its arena must still
+    fn pool_export_survives_reduce_and_compaction() {
+        // Regression: a session solver that reduced its learnt database
+        // (deleting learnt clauses) and compacted its arena must still
         // export a sound pool — no stale refs (empty or dead clauses), and
         // a signature-equal importer answers exactly as before.
         use hh_sat::Var;
@@ -762,8 +728,7 @@ mod tests {
         let build = || {
             let mut s = Solver::new();
             for _ in 0..num_vars {
-                let v = s.new_var();
-                s.freeze(v);
+                s.new_var();
             }
             for cl in &clauses {
                 s.add_clause(cl);
@@ -772,7 +737,15 @@ mod tests {
         };
         let mut exporter = build();
         let expected = exporter.solve();
-        assert!(exporter.simplify());
+        // Learnt clauses are born "used"; the first round clears that
+        // protection, the later ones delete and demote.
+        for _ in 0..3 {
+            exporter.debug_force_reduce();
+        }
+        assert!(
+            exporter.stats().deleted_clauses > 0,
+            "reduction deleted nothing"
+        );
         exporter.debug_force_compact();
 
         let (_base, m) = and_gate();
@@ -824,59 +797,5 @@ mod tests {
         assert_eq!(m1, m2);
         // Canonical deletion drops `a` first: the survivor pair is {b, c}.
         assert_eq!(m1, vec![b, c]);
-    }
-
-    #[test]
-    fn portfolio_sessions_match_solo_sessions() {
-        // Same query with portfolio racing on and off (racing forced by a
-        // 1-conflict opening slice): identical abducts over session reuse.
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        let cands = vec![eq_b.clone(), eq_c.clone()];
-        let solo_cfg = AbductionConfig::paper_default();
-        let port_cfg = AbductionConfig {
-            portfolio: true,
-            portfolio_first_slice: 1,
-            ..solo_cfg
-        };
-        let mut solo = AbductionSession::new(m.netlist(), target.clone(), solo_cfg);
-        let mut port = AbductionSession::new(m.netlist(), target, port_cfg);
-        assert_eq!(solo.solve(&cands).abduct, port.solve(&cands).abduct);
-        let s2 = solo.solve(std::slice::from_ref(&eq_b));
-        let p2 = port.solve(std::slice::from_ref(&eq_b));
-        assert_eq!(s2.abduct, p2.abduct);
-        assert_eq!(s2.abduct, None); // SAT: Eq(B) alone is not enough
-    }
-
-    #[test]
-    fn portfolio_with_proof_sink_skips_racing() {
-        // A proof sink suspends the race (single-arm run keeps the DRAT
-        // stream self-contained) without changing the answer.
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let cands = vec![
-            Predicate::eq(m.left(b), m.right(b)),
-            Predicate::eq(m.left(c), m.right(c)),
-        ];
-        let cfg = AbductionConfig {
-            portfolio: true,
-            portfolio_first_slice: 1,
-            ..AbductionConfig::paper_default()
-        };
-        let mut sess = AbductionSession::new(m.netlist(), target, cfg);
-        sess.attach_proof_sink(Box::new(hh_sat::CountingSink::default()));
-        let res = sess.solve(&cands);
-        assert_eq!(res.abduct, Some(vec![0, 1]));
-        assert_eq!(res.telemetry.portfolio_races, 0, "race must be skipped");
-        assert_eq!(res.telemetry.budget_rounds, 0);
-        assert!(sess.take_proof_sink().is_some());
     }
 }
