@@ -10,10 +10,10 @@
 //!   `solve_with_assumptions` that is pure propagation — no conflicts, no
 //!   decisions — so the number is propagations per second.
 //! * `search/*` — a fixed random 3-CNF near the satisfiability phase
-//!   transition, solved from scratch: conflict analysis, learnt-tier
-//!   bookkeeping and restarts all engage.
+//!   transition, solved from scratch: conflict analysis, LBD bookkeeping
+//!   and restarts all engage.
 //!
-//! Both run under the default (flat-arena, glucose, tiered, chronological
+//! Both run under the default (flat-arena, glucose, chronological
 //! backtracking, flat watch lists) configuration, under single-knob A/B
 //! arms (`modern_nochrono`, `modern_nested` — nested watch Vecs), and under
 //! `Config::seed_baseline()` so the heuristic deltas are visible next to

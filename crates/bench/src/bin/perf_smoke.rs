@@ -28,8 +28,9 @@
 //!   than 2% of a certified run's wall-clock — measured as the per-call
 //!   cost of the sink-absent branch times the number of proof events the
 //!   certified run's obligations record,
-//! * the flat-arena solver configuration (glucose restarts, tiered learnt
-//!   DB, best-phase saving, flat watch lists — the default) must answer the
+//! * the flat-arena solver configuration (glucose restarts, best-phase
+//!   saving, inlined binaries, blockers, chronological backtracking, flat
+//!   watch lists — the default) must answer the
 //!   scaled design's assumption-query stream at least 15% faster than
 //!   `hh_sat::Config::seed_baseline()` (DESIGN.md ablation 11), with both
 //!   configurations returning identical answers, and
@@ -330,9 +331,11 @@ fn main() {
     // Arena raw-speed gates (DESIGN.md ablation 11). The scaled design's
     // query cone, replayed as an incremental assumption-query stream, must
     // be >= 15% faster under the flat-arena solver's default configuration
-    // (glucose adaptive restarts, three-tier learnt DB, best-phase saving)
-    // than under `Config::seed_baseline()` (Luby restarts, no mid tier, no
-    // best phases — the seed solver's heuristics on the same arena), with
+    // (glucose adaptive restarts, best-phase saving, inlined binaries,
+    // blockers, chrono, flat watch lists) than under
+    // `Config::seed_baseline()` (Luby restarts, no best phases, binaries in
+    // the long lists, no blockers, no chrono, nested watch lists — the seed
+    // solver's heuristics on the same arena), with
     // bit-identical answers. Attaching a proof sink to the same stream must
     // cost < 2% extra.
     // ------------------------------------------------------------------

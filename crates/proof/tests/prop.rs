@@ -126,8 +126,7 @@ proptest! {
     /// stream: a proof logged across forced reduce/compact cycles between
     /// incremental queries still passes the independent checker, under the
     /// default configuration and under `Config::seed_baseline()` (nested
-    /// watch lists, binaries in the long lists, an empty mid tier so every
-    /// non-glue learnt clause is reducible). Runs where an intermediate
+    /// watch lists, binaries in the long lists). Runs where an intermediate
     /// query already went UNSAT are skipped — the wrapper trick certifies
     /// one assumption set per stream.
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! word 0: header — size (20 bits) | LBD (7 bits, capped) | learnt (1 bit)
-//!                  | tier (2 bits) | used (1 bit) | deleted (1 bit)
+//!                  | used (1 bit) | deleted (1 bit)
 //! word 1: activity as f32 bits
 //! word 2..: literal codes
 //! ```
@@ -17,15 +17,11 @@
 //! zero-copy views of the arena.
 //!
 //! Deletion marks the header and counts the clause's footprint as garbage;
-//! the slot stays valid (for watcher scrubbing and proof logging) until
-//! [`ClauseDb::compact`] slides the live clauses down in place and returns
-//! an old→new offset table for the solver to remap its reasons and
-//! watchers.
-//!
-//! Learnt clauses carry a three-tier classification (`core`/`mid`/`local`)
-//! driven by LBD; the solver's database reduction deletes only from the
-//! local tier and demotes unused mid-tier clauses, so glue clauses are never
-//! lost (see [`crate::Solver`]).
+//! the slot stays valid (for proof logging) until [`ClauseDb::compact`]
+//! slides the live clauses down in place and returns an old→new offset
+//! table for the solver to remap its reasons. The solver compacts after
+//! every database reduction that deletes a clause, so garbage never
+//! outlives the reduction that made it.
 
 use crate::lit::Lit;
 
@@ -41,35 +37,11 @@ const SIZE_BITS: u32 = 20;
 const SIZE_MASK: u32 = (1 << SIZE_BITS) - 1;
 const LBD_SHIFT: u32 = 20;
 /// LBDs are stored saturated at this value; ordering above the cap does not
-/// matter because such clauses are all deep in the local tier anyway.
+/// matter because such clauses are the first a reduction deletes anyway.
 pub(crate) const LBD_CAP: u32 = 0x7F;
 const LEARNT_BIT: u32 = 1 << 27;
-const TIER_SHIFT: u32 = 28;
-const TIER_MASK: u32 = 0b11;
-const USED_BIT: u32 = 1 << 30;
-const DELETED_BIT: u32 = 1 << 31;
-
-/// Learnt-clause tier, packed into two header bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum Tier {
-    /// Glue clauses (LBD ≤ core threshold): kept forever.
-    Core = 0,
-    /// Medium-LBD clauses: survive reductions while they keep being used,
-    /// demoted to [`Tier::Local`] after an idle round.
-    Mid = 1,
-    /// Everything else: the only tier database reduction deletes from.
-    Local = 2,
-}
-
-impl Tier {
-    fn from_bits(bits: u32) -> Tier {
-        match bits & TIER_MASK {
-            0 => Tier::Core,
-            1 => Tier::Mid,
-            _ => Tier::Local,
-        }
-    }
-}
+const USED_BIT: u32 = 1 << 28;
+const DELETED_BIT: u32 = 1 << 29;
 
 /// Arena of clauses.
 #[derive(Debug, Default)]
@@ -85,8 +57,6 @@ pub(crate) struct ClauseDb {
     num_orig: usize,
     /// Live learnt clauses.
     num_learnts: usize,
-    /// Live learnt clauses currently in [`Tier::Local`].
-    num_local: usize,
     /// Arena words occupied by deleted clauses.
     garbage: usize,
 }
@@ -103,7 +73,7 @@ impl ClauseDb {
 
     /// Allocates a clause and returns its ref. Unit/empty clauses are never
     /// stored (they live on the trail / in `ok`).
-    pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32, tier: Tier) -> ClauseRef {
+    pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
         debug_assert!(
             lits.len() <= SIZE_MASK as usize,
@@ -118,11 +88,7 @@ impl ClauseDb {
         header |= lbd.min(LBD_CAP) << LBD_SHIFT;
         if learnt {
             header |= LEARNT_BIT;
-            header |= (tier as u32) << TIER_SHIFT;
             self.num_learnts += 1;
-            if tier == Tier::Local {
-                self.num_local += 1;
-            }
         } else {
             self.num_orig += 1;
         }
@@ -189,28 +155,6 @@ impl ClauseDb {
     }
 
     #[inline]
-    pub(crate) fn tier(&self, cref: ClauseRef) -> Tier {
-        Tier::from_bits(self.header(cref) >> TIER_SHIFT)
-    }
-
-    pub(crate) fn set_tier(&mut self, cref: ClauseRef, tier: Tier) {
-        debug_assert!(self.is_learnt(cref) && !self.is_deleted(cref));
-        let old = self.tier(cref);
-        if old == tier {
-            return;
-        }
-        if old == Tier::Local {
-            self.num_local -= 1;
-        }
-        if tier == Tier::Local {
-            self.num_local += 1;
-        }
-        let off = cref.0 as usize;
-        self.data[off] =
-            (self.data[off] & !(TIER_MASK << TIER_SHIFT)) | ((tier as u32) << TIER_SHIFT);
-    }
-
-    #[inline]
     pub(crate) fn is_used(&self, cref: ClauseRef) -> bool {
         self.header(cref) & USED_BIT != 0
     }
@@ -247,16 +191,13 @@ impl ClauseDb {
         }
     }
 
-    /// Marks the clause deleted. The slot stays readable (for proof logging
-    /// and watcher scrubbing) until the next [`ClauseDb::compact`]; its
-    /// footprint is counted as garbage immediately.
+    /// Marks the clause deleted. The slot stays readable (for proof
+    /// logging) until the next [`ClauseDb::compact`]; its footprint is
+    /// counted as garbage immediately.
     pub(crate) fn delete(&mut self, cref: ClauseRef) {
         debug_assert!(!self.is_deleted(cref));
         if self.is_learnt(cref) {
             self.num_learnts -= 1;
-            if self.tier(cref) == Tier::Local {
-                self.num_local -= 1;
-            }
         } else {
             self.num_orig -= 1;
         }
@@ -274,12 +215,6 @@ impl ClauseDb {
     #[inline]
     pub(crate) fn num_learnts(&self) -> usize {
         self.num_learnts
-    }
-
-    /// Live learnt clauses in [`Tier::Local`] (the reducible population).
-    #[inline]
-    pub(crate) fn num_local(&self) -> usize {
-        self.num_local
     }
 
     /// Current arena size in words (including garbage).
@@ -316,26 +251,18 @@ impl ClauseDb {
             .collect()
     }
 
-    /// Drops swept-over (deleted) entries from the clause lists. Cheap
-    /// bookkeeping after bulk deletions; `compact` implies it.
-    pub(crate) fn sweep_lists(&mut self) {
-        let mut clause_list = std::mem::take(&mut self.clause_list);
-        clause_list.retain(|&c| !self.is_deleted(c));
-        self.clause_list = clause_list;
-        let mut learnt_list = std::mem::take(&mut self.learnt_list);
-        learnt_list.retain(|&c| !self.is_deleted(c));
-        self.learnt_list = learnt_list;
-    }
-
     /// Garbage-compacts the arena in place: live clauses slide down (in
     /// ascending offset order, so every move is leftward), garbage goes to
     /// zero, and insertion order of both clause lists is preserved.
     ///
     /// Returns the sorted `(old_offset, new_offset)` table; the solver must
-    /// remap every `ClauseRef` it holds (reasons, watchers) through it via
-    /// [`ClauseDb::remap_ref`].
+    /// remap every `ClauseRef` it keeps (its reasons) through it via
+    /// [`ClauseDb::remap_ref`], and rebuild its watch lists.
     pub(crate) fn compact(&mut self) -> Vec<(u32, u32)> {
-        self.sweep_lists();
+        let data = &self.data;
+        let live = |c: &ClauseRef| data[c.0 as usize] & DELETED_BIT == 0;
+        self.clause_list.retain(live);
+        self.learnt_list.retain(live);
         let mut refs: Vec<ClauseRef> = self
             .clause_list
             .iter()
@@ -395,7 +322,7 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(3), false, 0, Tier::Core);
+        let c = db.alloc(&lits(3), false, 0);
         assert_eq!(db.size(c), 3);
         assert_eq!(db.lits(c), lits(3).as_slice());
         assert!(!db.is_learnt(c));
@@ -408,16 +335,14 @@ mod tests {
     #[test]
     fn header_fields_are_independent() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(2), true, 9, Tier::Local);
+        let c = db.alloc(&lits(2), true, 9);
         assert!(db.is_learnt(c));
         assert_eq!(db.lbd(c), 9);
-        assert_eq!(db.tier(c), Tier::Local);
         db.set_lbd(c, 3);
-        db.set_tier(c, Tier::Mid);
         db.set_used(c);
         assert_eq!(db.lbd(c), 3);
-        assert_eq!(db.tier(c), Tier::Mid);
         assert!(db.is_used(c));
+        assert!(!db.is_deleted(c));
         assert_eq!(db.size(c), 2, "size survives flag churn");
         db.clear_used(c);
         assert!(!db.is_used(c));
@@ -426,28 +351,27 @@ mod tests {
     #[test]
     fn lbd_saturates_at_cap() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(2), true, 100_000, Tier::Local);
+        let c = db.alloc(&lits(2), true, 100_000);
         assert_eq!(db.lbd(c), LBD_CAP);
         assert_eq!(db.size(c), 2);
     }
 
     #[test]
-    fn tier_accounting_tracks_moves_and_deletes() {
+    fn learnt_accounting_tracks_deletes() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(2), true, 8, Tier::Local);
-        let b = db.alloc(&lits(3), true, 4, Tier::Mid);
-        assert_eq!((db.num_learnts(), db.num_local()), (2, 1));
-        db.set_tier(b, Tier::Local);
-        assert_eq!(db.num_local(), 2);
+        let a = db.alloc(&lits(2), true, 8);
+        let b = db.alloc(&lits(3), true, 4);
+        db.alloc(&lits(3), false, 0);
+        assert_eq!((db.num_learnts(), db.num_clauses()), (2, 3));
         db.delete(a);
-        assert_eq!((db.num_learnts(), db.num_local()), (1, 1));
+        assert_eq!((db.num_learnts(), db.num_clauses()), (1, 2));
         assert_eq!(db.learnt_refs(), vec![b]);
     }
 
     #[test]
     fn activity_roundtrips_through_bits() {
         let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(2), true, 2, Tier::Core);
+        let c = db.alloc(&lits(2), true, 2);
         assert_eq!(db.activity(c), 0.0);
         db.set_activity(c, 1.5);
         assert_eq!(db.activity(c), 1.5);
@@ -458,8 +382,8 @@ mod tests {
     #[test]
     fn delete_is_lazy_until_compaction() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(2), true, 2, Tier::Local);
-        let b = db.alloc(&lits(2), true, 2, Tier::Local);
+        let a = db.alloc(&lits(2), true, 2);
+        let b = db.alloc(&lits(2), true, 2);
         db.delete(a);
         // a's slot is still readable (proof logging needs the literals).
         assert_eq!(db.lits(a).len(), 2);
@@ -472,9 +396,9 @@ mod tests {
     #[test]
     fn compact_moves_live_clauses_left_and_remaps() {
         let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(3), false, 0, Tier::Core);
-        let b = db.alloc(&lits(2), true, 5, Tier::Mid);
-        let c = db.alloc(&lits(4), false, 0, Tier::Core);
+        let a = db.alloc(&lits(3), false, 0);
+        let b = db.alloc(&lits(2), true, 5);
+        let c = db.alloc(&lits(4), false, 0);
         let b_lits = db.lits(b).to_vec();
         let c_lits = db.lits(c).to_vec();
         db.delete(a);
@@ -487,7 +411,6 @@ mod tests {
         assert_eq!(db.lits(nb), b_lits.as_slice());
         assert_eq!(db.lits(nc), c_lits.as_slice());
         assert!(db.is_learnt(nb) && !db.is_learnt(nc));
-        assert_eq!(db.tier(nb), Tier::Mid);
         assert_eq!(db.lbd(nb), 5);
         assert_eq!(db.live_refs().collect::<Vec<_>>(), vec![nc, nb]);
     }

@@ -27,7 +27,8 @@
 //!
 //! * Two-literal watching, first-UIP learning with clause minimisation,
 //!   VSIDS + phase saving, glucose or Luby restarts, chronological
-//!   backtracking, LBD-tiered database reduction.
+//!   backtracking, and learnt-clause reduction that keeps glue clauses
+//!   (LBD ≤ 2) and compacts the clause arena after every deletion round.
 //! * Incremental interface: interleave [`Solver::new_var`],
 //!   [`Solver::add_clause`] and [`Solver::solve_with_assumptions`] freely;
 //!   [`Solver::solve_limited`] suspends a solve losslessly after a

@@ -13,17 +13,18 @@
 //! * Luby-sequence or glucose-style adaptive restarts (recent-LBD EMA vs.
 //!   the global mean, with trail-size restart blocking), selected by
 //!   [`Config::restart_mode`],
-//! * a three-tier learnt-clause database (core/mid/local by LBD) where only
-//!   the local tier is reduced and idle mid-tier clauses are demoted,
-//! * in-place garbage compaction of the clause arena instead of
-//!   rebuild-from-scratch reductions,
+//! * learnt-clause database reduction that keeps glue clauses (LBD ≤ 2),
+//!   reasons and clauses used since the last round, and deletes half of
+//!   the rest, worst LBD first — the only bound on a long solve's memory,
+//! * in-place garbage compaction of the clause arena after every reduction
+//!   that deletes a clause, followed by a watch-list rebuild,
 //! * incremental solving under assumptions with UNSAT-core extraction.
 //!
 //! The solver is the decision engine behind every query made by the
 //! H-Houdini abduction oracle, where the assumptions are predicate indicator
 //! literals and the UNSAT core *is* the abduct.
 
-use crate::clause::{ClauseDb, ClauseRef, Tier};
+use crate::clause::{ClauseDb, ClauseRef};
 use crate::heap::VarOrderHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
@@ -66,66 +67,62 @@ pub enum LimitedResult {
 /// Restart strategy selector (see [`Config::restart_mode`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartMode {
-    /// Fixed-schedule restarts: the Luby sequence scaled by
-    /// [`Config::restart_base`].
+    /// Fixed-schedule restarts: the Luby sequence scaled by a 100-conflict
+    /// base interval.
     Luby,
     /// Glucose-style adaptive restarts: restart when the recent-LBD EMA
-    /// exceeds [`Config::restart_margin`] times the global LBD mean, with
-    /// trail-size-based restart blocking (a conflict reached with a trail
-    /// much deeper than average suppresses a pending restart, because the
-    /// current assignment looks close to a model).
+    /// exceeds 1.25 times the global LBD mean, with trail-size-based
+    /// restart blocking (a conflict reached with a trail much deeper than
+    /// average suppresses a pending restart, because the current assignment
+    /// looks close to a model).
     Glucose,
 }
 
-/// Tunable solver parameters.
+/// VSIDS decay applied to variable activities per conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Decay applied to learnt-clause activities per conflict.
+const CLAUSE_DECAY: f64 = 0.999;
+/// Conflicts in the base Luby restart interval ([`RestartMode::Luby`]).
+const RESTART_BASE: u64 = 100;
+/// Learnt-clause cap at the start of a solve, as a fraction of the live
+/// clauses (plus a fixed 1000).
+const LEARNT_SIZE_FACTOR: f64 = 1.0 / 3.0;
+/// Growth of the learnt-clause cap after each reduction.
+const LEARNT_SIZE_INC: f64 = 1.1;
+/// EMA smoothing factor of the recent-LBD average (glucose restarts).
+const RESTART_EMA_ALPHA: f64 = 1.0 / 32.0;
+/// Glucose restart trigger: restart when `recent_lbd_ema > RESTART_MARGIN *
+/// global_lbd_mean`.
+const RESTART_MARGIN: f64 = 1.25;
+/// Minimum conflicts between glucose restarts, and the warmup before the
+/// LBD averages are trusted.
+const RESTART_MIN_INTERVAL: u64 = 50;
+/// Restart blocking: a conflict whose trail is deeper than this times the
+/// trail EMA resets the recent-LBD EMA to the global mean, deferring the
+/// restart.
+const RESTART_BLOCK_MARGIN: f64 = 1.4;
+/// Learnt clauses whose stored LBD is at or below this are glue: database
+/// reduction never deletes them.
+const GLUE_LBD: u32 = 2;
+/// Fraction of the deletable learnt clauses each reduction deletes.
+const REDUCE_FRACTION: f64 = 0.5;
+
+/// Solver options.
 ///
-/// The defaults select the modern heuristics (adaptive restarts, tiered
-/// learnt DB, best-phase targeting); [`Config::seed_baseline`] approximates
+/// The defaults select the modern heuristics (adaptive restarts,
+/// best-phase targeting, inlined binaries, blockers, chronological
+/// backtracking, flat watch lists); [`Config::seed_baseline`] approximates
 /// the original fixed-schedule solver on the same arena backend, which is
-/// what the perf gates compare against.
+/// what the perf gates compare against. The numeric heuristic parameters
+/// (activity decays, restart intervals and margins, the learnt-clause cap,
+/// the glue LBD) are fixed constants.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Multiplicative decay applied to variable activities per conflict.
-    pub var_decay: f64,
-    /// Multiplicative decay applied to clause activities per conflict.
-    pub clause_decay: f64,
-    /// Conflicts in the base restart interval (scaled by the Luby sequence;
-    /// used only in [`RestartMode::Luby`]).
-    pub restart_base: u64,
-    /// Initial cap on reducible (local-tier) learnt clauses before database
-    /// reduction, as a fraction of live clauses.
-    pub learnt_size_factor: f64,
-    /// Growth of the learnt-clause cap after each reduction.
-    pub learnt_size_inc: f64,
     /// Restart strategy.
     pub restart_mode: RestartMode,
-    /// EMA smoothing factor for the recent-LBD average
-    /// ([`RestartMode::Glucose`] only).
-    pub restart_ema_alpha: f64,
-    /// Adaptive restart trigger: restart when `recent_lbd_ema >
-    /// restart_margin * global_lbd_mean`.
-    pub restart_margin: f64,
-    /// Minimum conflicts between adaptive restarts (also the warmup before
-    /// the LBD averages are trusted).
-    pub restart_min_interval: u64,
-    /// Restart blocking: a conflict whose trail is deeper than
-    /// `restart_block_margin * trail_ema` resets the recent-LBD EMA to the
-    /// global mean, deferring the restart.
-    pub restart_block_margin: f64,
-    /// Learnt clauses with LBD at or below this are core tier: kept forever.
-    pub core_lbd: u32,
-    /// Learnt clauses with LBD at or below this (and above
-    /// [`Config::core_lbd`]) start in the mid tier: they survive reductions
-    /// while used, and are demoted to the local tier after an idle round.
-    pub tier2_lbd: u32,
     /// Track the deepest trail seen in the current solve and reset decision
     /// phases to it on every restart (best-phase targeting).
     pub save_best_phases: bool,
-    /// Fraction of eligible local-tier clauses deleted per reduction.
-    pub reduce_fraction: f64,
-    /// Garbage-compact the clause arena when at least this fraction of it
-    /// is dead words.
-    pub compact_garbage_frac: f64,
     /// Keep two-literal clauses in the dedicated binary watch lists, where
     /// the watcher's blocker *is* the implied literal and propagation never
     /// loads the clause arena. When off, binaries are watched like any
@@ -164,21 +161,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Config {
         Config {
-            var_decay: 0.95,
-            clause_decay: 0.999,
-            restart_base: 100,
-            learnt_size_factor: 1.0 / 3.0,
-            learnt_size_inc: 1.1,
             restart_mode: RestartMode::Glucose,
-            restart_ema_alpha: 1.0 / 32.0,
-            restart_margin: 1.25,
-            restart_min_interval: 50,
-            restart_block_margin: 1.4,
-            core_lbd: 2,
-            tier2_lbd: 6,
             save_best_phases: true,
-            reduce_fraction: 0.5,
-            compact_garbage_frac: 0.25,
             inline_binaries: true,
             use_blockers: true,
             chrono: true,
@@ -190,10 +174,9 @@ impl Default for Config {
 
 impl Config {
     /// The seed solver's behaviour on the arena backend: Luby restarts, no
-    /// best-phase targeting, a flat learnt DB (an empty mid tier, so
-    /// everything above glue is reducible by activity, as the pre-arena
-    /// reduce did), binaries watched like ordinary clauses, no blocker
-    /// short-circuit, and nested per-literal watch `Vec`s.
+    /// best-phase targeting, binaries watched like ordinary clauses, no
+    /// blocker short-circuit, no chronological backtracking, and nested
+    /// per-literal watch `Vec`s.
     /// The perf-gate baseline: comparing `Config::default()` against this
     /// measures the raw-speed PRs' features on identical workloads, with the
     /// shared flat clause-arena layout as a conservative floor (the real
@@ -201,7 +184,6 @@ impl Config {
     pub fn seed_baseline() -> Config {
         Config {
             restart_mode: RestartMode::Luby,
-            tier2_lbd: 2,
             save_best_phases: false,
             inline_binaries: false,
             use_blockers: false,
@@ -211,74 +193,11 @@ impl Config {
         }
     }
 
-    /// Checks the knobs for internal consistency, returning the first
-    /// violated rule. The 20 knobs otherwise accept silent nonsense
-    /// combinations (a core tier wider than the mid tier, decays outside
-    /// `(0, 1)`, zero restart intervals); [`Solver::with_config`]
-    /// debug-asserts this so misconfigurations fail loudly in tests rather
-    /// than degenerating quietly in production runs.
+    /// Checks the options for consistency, returning the first violated
+    /// rule; [`Solver::with_config`] debug-asserts it so a misconfiguration
+    /// fails loudly in tests rather than degenerating quietly in production
+    /// runs.
     pub fn validate(&self) -> Result<(), String> {
-        fn open_unit(name: &str, v: f64) -> Result<(), String> {
-            if v > 0.0 && v < 1.0 {
-                Ok(())
-            } else {
-                Err(format!("{name} must lie in (0, 1), got {v}"))
-            }
-        }
-        open_unit("var_decay", self.var_decay)?;
-        open_unit("clause_decay", self.clause_decay)?;
-        open_unit("restart_ema_alpha", self.restart_ema_alpha)?;
-        if self.restart_base == 0 {
-            return Err("restart_base must be nonzero".into());
-        }
-        if self.learnt_size_factor <= 0.0 {
-            return Err(format!(
-                "learnt_size_factor must be positive, got {}",
-                self.learnt_size_factor
-            ));
-        }
-        if self.learnt_size_inc < 1.0 {
-            return Err(format!(
-                "learnt_size_inc below 1.0 shrinks the learnt cap, got {}",
-                self.learnt_size_inc
-            ));
-        }
-        if self.restart_margin < 1.0 {
-            return Err(format!(
-                "restart_margin below 1.0 restarts on every conflict, got {}",
-                self.restart_margin
-            ));
-        }
-        if self.restart_block_margin < 1.0 {
-            return Err(format!(
-                "restart_block_margin below 1.0 blocks every restart, got {}",
-                self.restart_block_margin
-            ));
-        }
-        if self.restart_min_interval == 0 {
-            return Err("restart_min_interval must be nonzero".into());
-        }
-        if self.core_lbd == 0 {
-            return Err("core_lbd must be nonzero (learnt LBDs start at 1)".into());
-        }
-        if self.core_lbd > self.tier2_lbd {
-            return Err(format!(
-                "core_lbd ({}) must not exceed tier2_lbd ({})",
-                self.core_lbd, self.tier2_lbd
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.reduce_fraction) {
-            return Err(format!(
-                "reduce_fraction must lie in [0, 1], got {}",
-                self.reduce_fraction
-            ));
-        }
-        if !(self.compact_garbage_frac > 0.0 && self.compact_garbage_frac <= 1.0) {
-            return Err(format!(
-                "compact_garbage_frac must lie in (0, 1], got {}",
-                self.compact_garbage_frac
-            ));
-        }
         if self.chrono_threshold == 0 {
             return Err("chrono_threshold must be nonzero".into());
         }
@@ -308,7 +227,7 @@ pub struct SolverStats {
     /// In-place garbage compactions of the clause arena.
     pub compactions: u64,
     /// Cumulative wall-clock microseconds spent in database reduction
-    /// (including watcher scrubbing and compaction it triggers).
+    /// (including the compaction and watch rebuild it triggers).
     pub reduce_time_us: u64,
     /// Current clause-arena size in bytes — a gauge refreshed after every
     /// solve and reduction, not a monotone counter.
@@ -687,7 +606,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(&filtered, false, 0, Tier::Core);
+                let cref = self.db.alloc(&filtered, false, 0);
                 self.attach(cref);
                 true
             }
@@ -799,7 +718,7 @@ impl Solver {
             return Some(SolveResult::Unsat);
         }
         self.cancel_until(0);
-        self.max_learnts = (self.db.num_clauses() as f64) * self.config.learnt_size_factor + 1000.0;
+        self.max_learnts = (self.db.num_clauses() as f64) * LEARNT_SIZE_FACTOR + 1000.0;
         if self.config.save_best_phases {
             // Seed the best-phase snapshot from the saved phases so a restart
             // before any record never installs stale polarities.
@@ -811,7 +730,7 @@ impl Solver {
         let ceiling = budget.map(|b| self.stats.conflicts.saturating_add(b));
         let mut restarts: u64 = 0;
         loop {
-            let restart_budget = luby(restarts) * self.config.restart_base;
+            let restart_budget = luby(restarts) * RESTART_BASE;
             match self.search(restart_budget, ceiling, assumptions) {
                 SearchOutcome::Done(result) => {
                     self.cancel_until(0);
@@ -1031,11 +950,11 @@ impl Solver {
                 // trail depth into the blocking EMA.
                 self.lbd_count += 1;
                 self.lbd_sum += lbd as f64;
-                self.lbd_fast += (lbd as f64 - self.lbd_fast) * self.config.restart_ema_alpha;
+                self.lbd_fast += (lbd as f64 - self.lbd_fast) * RESTART_EMA_ALPHA;
                 self.trail_ema += (trail_depth - self.trail_ema) * TRAIL_EMA_ALPHA;
                 if self.config.restart_mode == RestartMode::Glucose
-                    && self.lbd_count >= self.config.restart_min_interval
-                    && trail_depth > self.config.restart_block_margin * self.trail_ema
+                    && self.lbd_count >= RESTART_MIN_INTERVAL
+                    && trail_depth > RESTART_BLOCK_MARGIN * self.trail_ema
                     && self.restart_pending(conflicts)
                 {
                     // Blocking: the assignment is unusually deep, so a
@@ -1056,9 +975,9 @@ impl Solver {
                     self.cancel_until(0);
                     return SearchOutcome::Restart;
                 }
-                if self.db.num_local() as f64 >= self.max_learnts {
+                if self.db.num_learnts() as f64 >= self.max_learnts {
                     self.reduce_db();
-                    self.max_learnts *= self.config.learnt_size_inc;
+                    self.max_learnts *= LEARNT_SIZE_INC;
                 }
                 // Place assumptions as pseudo-decisions, one per level.
                 let mut next: Option<Lit> = None;
@@ -1102,9 +1021,9 @@ impl Solver {
     /// minimum interval, with the recent-LBD EMA above the margin over the
     /// global mean (high recent glue = the search has gone stale).
     fn restart_pending(&self, conflicts_this_round: u64) -> bool {
-        conflicts_this_round >= self.config.restart_min_interval
+        conflicts_this_round >= RESTART_MIN_INTERVAL
             && self.lbd_count > 0
-            && self.lbd_fast > self.config.restart_margin * (self.lbd_sum / self.lbd_count as f64)
+            && self.lbd_fast > RESTART_MARGIN * (self.lbd_sum / self.lbd_count as f64)
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
@@ -1507,25 +1426,14 @@ impl Solver {
             _ => {
                 self.proof_add(&learnt);
                 let lbd = self.compute_lbd(&learnt);
-                let tier = self.tier_for_lbd(lbd);
                 let asserting = learnt[0];
-                let cref = self.db.alloc(&learnt, true, lbd, tier);
+                let cref = self.db.alloc(&learnt, true, lbd);
                 self.attach(cref);
                 self.bump_clause_activity(cref);
                 self.db.set_used(cref);
                 self.unchecked_enqueue_at(asserting, Some(cref), assert_level);
                 lbd
             }
-        }
-    }
-
-    fn tier_for_lbd(&self, lbd: u32) -> Tier {
-        if lbd <= self.config.core_lbd {
-            Tier::Core
-        } else if lbd <= self.config.tier2_lbd {
-            Tier::Mid
-        } else {
-            Tier::Local
         }
     }
 
@@ -1580,8 +1488,8 @@ impl Solver {
 
     /// Bookkeeping for a learnt clause that served as an antecedent during
     /// conflict analysis: bump its activity, mark it used (protecting it
-    /// from the next reduction round), and refresh its LBD — clauses whose
-    /// glue improves get promoted toward longer-lived tiers.
+    /// from the next reduction round), and refresh its LBD — a clause whose
+    /// glue improves to [`GLUE_LBD`] is kept from then on.
     fn bump_reason_clause(&mut self, cref: ClauseRef) {
         if !self.db.is_learnt(cref) {
             return;
@@ -1589,7 +1497,7 @@ impl Solver {
         self.bump_clause_activity(cref);
         self.db.set_used(cref);
         let old = self.db.lbd(cref);
-        if old > self.config.core_lbd {
+        if old > GLUE_LBD {
             let new = lbd_of(
                 &self.level,
                 &mut self.lbd_levels,
@@ -1598,27 +1506,21 @@ impl Solver {
             );
             if new < old {
                 self.db.set_lbd(cref, new);
-                if new <= self.config.core_lbd {
-                    self.db.set_tier(cref, Tier::Core);
-                } else if new <= self.config.tier2_lbd && self.db.tier(cref) == Tier::Local {
-                    self.db.set_tier(cref, Tier::Mid);
-                }
             }
         }
     }
 
     fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
-        self.clause_inc /= self.config.clause_decay as f32;
+        self.var_inc /= VAR_DECAY;
+        self.clause_inc /= CLAUSE_DECAY as f32;
     }
 
-    /// Reduces the local tier of the learnt database: deletes the worst
-    /// `reduce_fraction` of local-tier clauses (high LBD first, low activity
-    /// first among equals), skipping locked and recently-used ones. Mid-tier
-    /// clauses that went unused since the last reduction are demoted to
-    /// local; used bits are cleared so protection lasts exactly one round.
-    /// Core-tier clauses are never touched. Compacts the arena when enough
-    /// garbage has accumulated.
+    /// Reduces the learnt database: deletes the worst [`REDUCE_FRACTION`]
+    /// of the learnt clauses that are not glue, not locked and not used
+    /// since the previous reduction (high LBD first, low activity first
+    /// among equals), then clears every used bit so protection lasts
+    /// exactly one round. A reduction that deleted anything collects the
+    /// garbage at once.
     fn reduce_db(&mut self) {
         let start = std::time::Instant::now();
         self.stats.reduces += 1;
@@ -1626,9 +1528,7 @@ impl Solver {
         let mut cands: Vec<ClauseRef> = learnts
             .iter()
             .copied()
-            .filter(|&c| {
-                self.db.tier(c) == Tier::Local && !self.db.is_used(c) && !self.is_locked(c)
-            })
+            .filter(|&c| self.db.lbd(c) > GLUE_LBD && !self.db.is_used(c) && !self.is_locked(c))
             .collect();
         cands.sort_by(|&a, &b| {
             self.db.lbd(b).cmp(&self.db.lbd(a)).then_with(|| {
@@ -1638,31 +1538,18 @@ impl Solver {
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
         });
-        let target = (cands.len() as f64 * self.config.reduce_fraction) as usize;
+        let target = (cands.len() as f64 * REDUCE_FRACTION) as usize;
         for &cref in cands.iter().take(target) {
             self.delete_clause_logged(cref);
             self.stats.deleted_clauses += 1;
         }
-        // Demotion pass: mid-tier clauses that were not used as reasons since
-        // the previous reduction slide down to local; every surviving clause
-        // starts the next round unprotected.
         for &cref in &learnts {
-            if self.db.is_deleted(cref) {
-                continue;
+            if !self.db.is_deleted(cref) {
+                self.db.clear_used(cref);
             }
-            if self.db.tier(cref) == Tier::Mid && !self.db.is_used(cref) {
-                self.db.set_tier(cref, Tier::Local);
-            }
-            self.db.clear_used(cref);
         }
         if target > 0 {
-            self.db.sweep_lists();
-            self.scrub_watches();
-            if self.db.garbage_frac() >= self.config.compact_garbage_frac {
-                self.clear_watches();
-                self.compact_arena();
-                self.rebuild_watches();
-            }
+            self.collect_garbage();
         }
         self.stats.reduce_time_us += start.elapsed().as_micros() as u64;
     }
@@ -1672,44 +1559,18 @@ impl Solver {
         self.reason[first.var().index()] == Some(cref) && self.lit_value(first) == LBool::True
     }
 
-    fn clear_watches(&mut self) {
-        self.watches.clear();
-        self.bin_watches.clear();
-    }
-
-    /// Drops watchers that point at deleted clauses, leaving live watchers
-    /// in place. Cheaper than a full rebuild after a reduction round. In
-    /// flat mode, compacts a watch arena whose relocation holes have come
-    /// to dominate it — piggybacked here because this is the clause-GC
-    /// call site where the lists are already being rewritten.
-    fn scrub_watches(&mut self) {
-        let db = &self.db;
-        self.watches.retain(|x| !db.is_deleted(x.cref));
-        self.bin_watches.retain(|x| !db.is_deleted(x.cref));
-        if self.watches.should_compact() {
-            self.watches.compact();
-        }
-        if self.bin_watches.should_compact() {
-            self.bin_watches.compact();
-        }
-    }
-
-    /// Compacts the clause arena in place and remaps every stored
-    /// [`ClauseRef`] (reasons and watchers) through the move table.
-    fn compact_arena(&mut self) {
+    /// Compacts the clause arena in place, remaps every reason through the
+    /// move table, and rebuilds the watch lists from the live clauses (the
+    /// old watchers still hold pre-compaction refs, so they are discarded
+    /// rather than remapped).
+    fn collect_garbage(&mut self) {
         let remap = self.db.compact();
         self.stats.compactions += 1;
         for cref in self.reason.iter_mut().flatten() {
             *cref = ClauseDb::remap_ref(&remap, *cref);
         }
-        self.watches
-            .for_each_mut(|x| x.cref = ClauseDb::remap_ref(&remap, x.cref));
-        self.bin_watches
-            .for_each_mut(|x| x.cref = ClauseDb::remap_ref(&remap, x.cref));
-    }
-
-    fn rebuild_watches(&mut self) {
-        self.clear_watches();
+        self.watches.clear();
+        self.bin_watches.clear();
         let refs: Vec<ClauseRef> = self.db.live_refs().collect();
         for cref in refs {
             self.attach(cref);
@@ -1735,14 +1596,11 @@ impl Solver {
         self.reduce_db();
     }
 
-    /// Forces an arena compaction (sweep, scrub, compact, rebuild).
-    /// Test hook; not part of the stable API.
+    /// Forces an arena compaction and watch rebuild, as a reduction that
+    /// deleted clauses runs. Test hook; not part of the stable API.
     #[doc(hidden)]
     pub fn debug_force_compact(&mut self) {
-        self.db.sweep_lists();
-        self.clear_watches();
-        self.compact_arena();
-        self.rebuild_watches();
+        self.collect_garbage();
     }
 
     /// Fraction of the arena occupied by dead words. Test hook.
@@ -1757,14 +1615,15 @@ impl Solver {
         self.db.num_learnts()
     }
 
-    /// Literals of every live learnt clause together with its tier
-    /// (0 = core, 1 = mid, 2 = local), in learn order. Test hook.
+    /// Literals of every live learnt clause together with its stored LBD
+    /// (glue clauses have LBD ≤ 2 and survive every reduction), in learn
+    /// order. Test hook.
     #[doc(hidden)]
-    pub fn debug_learnts_with_tiers(&self) -> Vec<(Vec<Lit>, u8)> {
+    pub fn debug_learnts_with_lbd(&self) -> Vec<(Vec<Lit>, u32)> {
         self.db
             .learnt_refs()
             .into_iter()
-            .map(|c| (self.db.lits(c).to_vec(), self.db.tier(c) as u8))
+            .map(|c| (self.db.lits(c).to_vec(), self.db.lbd(c)))
             .collect()
     }
 
@@ -2163,62 +2022,17 @@ mod tests {
 
     #[test]
     fn config_validate_rejects_nonsense() {
-        let bad = [
-            Config {
-                var_decay: 1.0,
-                ..Config::default()
-            },
-            Config {
-                clause_decay: 0.0,
-                ..Config::default()
-            },
-            Config {
-                restart_base: 0,
-                ..Config::default()
-            },
-            Config {
-                core_lbd: 7,
-                tier2_lbd: 6,
-                ..Config::default()
-            },
-            Config {
-                core_lbd: 0,
-                ..Config::default()
-            },
-            Config {
-                restart_min_interval: 0,
-                ..Config::default()
-            },
-            Config {
-                reduce_fraction: 1.5,
-                ..Config::default()
-            },
-            Config {
-                compact_garbage_frac: 0.0,
-                ..Config::default()
-            },
-            Config {
-                learnt_size_inc: 0.9,
-                ..Config::default()
-            },
-            Config {
-                restart_margin: 0.5,
-                ..Config::default()
-            },
-            Config {
-                chrono_threshold: 0,
-                ..Config::default()
-            },
-        ];
-        for c in bad {
-            assert!(c.validate().is_err(), "accepted nonsense config: {c:?}");
-        }
+        let bad = Config {
+            chrono_threshold: 0,
+            ..Config::default()
+        };
+        assert!(bad.validate().is_err(), "accepted nonsense config: {bad:?}");
     }
 
     #[test]
     fn seed_baseline_round_trips_the_seed_solver_shape() {
         // The baseline must recreate the pre-raw-speed-PRs solver: nested
-        // per-literal watch Vecs (plus the restart/DB shape asserted
+        // per-literal watch Vecs (plus the restart shape asserted
         // alongside), and it must stay a valid config.
         let base = Config::seed_baseline();
         assert_eq!(base.validate(), Ok(()));
@@ -2228,12 +2042,11 @@ mod tests {
         assert!(!base.chrono);
         assert!(!base.save_best_phases);
         assert_eq!(base.restart_mode, RestartMode::Luby);
-        assert_eq!(base.tier2_lbd, base.core_lbd);
-        // Every knob the baseline does not pin matches the modern default,
-        // so A/B runs differ only in the features under test.
+        // The one option the baseline does not pin matches the modern
+        // default, so A/B runs differ only in the features under test.
         let modern = Config::default();
         assert!(modern.flat_watches);
-        assert_eq!(base.compact_garbage_frac, modern.compact_garbage_frac);
+        assert_eq!(base.chrono_threshold, modern.chrono_threshold);
         // And a baseline solver actually solves.
         let mut s = Solver::with_config(base);
         let a = s.new_var().positive();
@@ -2262,6 +2075,9 @@ mod tests {
             s.debug_force_reduce();
         }
         assert!(s.stats().deleted_clauses > 0, "reduction deleted nothing");
+        // A reduction that deletes compacts at once: no garbage survives it.
+        assert_eq!(s.debug_garbage_frac(), 0.0);
+        s.debug_check_watches().unwrap();
         s.debug_force_compact();
         let exported = s.export_learnt(|_| true);
         for cl in &exported {
@@ -2322,8 +2138,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn with_config_panics_on_invalid_config_in_debug() {
         let _ = Solver::with_config(Config {
-            core_lbd: 9,
-            tier2_lbd: 3,
+            chrono_threshold: 0,
             ..Config::default()
         });
     }

@@ -10,10 +10,9 @@
 //!   that outgrows its capacity is relocated to the end of the arena with
 //!   amortized doubling; the abandoned region becomes a lazy hole counted
 //!   in `garbage`. Holes are reclaimed by [`WatchStore::compact`]
-//!   (rebuild-in-place, order preserving) or by [`WatchStore::reset`],
-//!   which the solver piggybacks on the clause-arena GC — right before a
-//!   full watch rebuild the arena is dropped to empty, so reattachment
-//!   repacks it from scratch.
+//!   (rebuild-in-place, order preserving), which the solver runs after the
+//!   full watch rebuild that follows every clause-arena compaction, when
+//!   holes dominate the arena.
 //! * **Nested** (the seed layout, kept for the perf-gate baseline): the
 //!   classic `Vec<Vec<Watcher>>`, one heap allocation per literal.
 //!
@@ -228,48 +227,6 @@ impl WatchStore {
         } else {
             for l in &mut self.nested {
                 l.clear();
-            }
-        }
-    }
-
-    /// Drops every watcher failing `keep`, preserving order.
-    pub(crate) fn retain<F: Fn(&Watcher) -> bool>(&mut self, keep: F) {
-        if self.flat {
-            for code in 0..self.heads.len() {
-                let h = self.heads[code];
-                let (off, len) = (h.off as usize, h.len as usize);
-                let mut j = 0;
-                for i in 0..len {
-                    let w = self.data[off + i];
-                    if keep(&w) {
-                        self.data[off + j] = w;
-                        j += 1;
-                    }
-                }
-                self.heads[code].len = j as u32;
-            }
-        } else {
-            for l in &mut self.nested {
-                l.retain(|w| keep(w));
-            }
-        }
-    }
-
-    /// Visits every live watcher mutably (clause-arena compaction remaps
-    /// the stored [`ClauseRef`]s through this).
-    pub(crate) fn for_each_mut<F: FnMut(&mut Watcher)>(&mut self, mut f: F) {
-        if self.flat {
-            for code in 0..self.heads.len() {
-                let h = self.heads[code];
-                for i in 0..h.len as usize {
-                    f(&mut self.data[h.off as usize + i]);
-                }
-            }
-        } else {
-            for l in &mut self.nested {
-                for w in l.iter_mut() {
-                    f(w);
-                }
             }
         }
     }
@@ -526,11 +483,6 @@ mod tests {
                 flat.compact();
             }
         }
-        for code in 0..6 {
-            assert_eq!(contents(&flat, code), contents(&nested, code));
-        }
-        flat.retain(|w| w.cref.0 % 2 == 0);
-        nested.retain(|w| w.cref.0 % 2 == 0);
         for code in 0..6 {
             assert_eq!(contents(&flat, code), contents(&nested, code));
         }

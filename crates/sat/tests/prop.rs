@@ -164,12 +164,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Every heuristic/layout knob in `Config::seed_baseline()` (Luby
-    /// restarts, flat DB, no best phases, binaries in the long watch
-    /// lists, no blocker checks) is answer-preserving: both configs agree
-    /// with brute force under arbitrary assumption sets. Regression test
-    /// for the blocker-off propagation tail, which once re-enqueued
-    /// already-true literals forever.
+    /// Every heuristic/layout option in `Config::seed_baseline()` (Luby
+    /// restarts, no best phases, binaries in the long watch lists, no
+    /// blocker checks, no chrono, nested watch lists) is
+    /// answer-preserving: both configs agree with brute force under
+    /// arbitrary assumption sets. Regression test for the blocker-off
+    /// propagation tail, which once re-enqueued already-true literals
+    /// forever.
     #[test]
     fn seed_baseline_config_agrees_with_brute_force(
         clauses in arb_cnf(7, 30),
@@ -228,11 +229,15 @@ proptest! {
         }
     }
 
-    /// Tiered database reduction never deletes a clause that is currently a
-    /// reason on the trail, and never deletes a core-tier learnt — and the
-    /// solver still answers correctly afterwards.
+    /// Database reduction never deletes a clause that is currently a
+    /// reason on the trail, and never deletes a glue clause (stored LBD at
+    /// most 2); a reduction that deletes anything leaves no garbage in the
+    /// arena and a consistent set of watches; and the solver still answers
+    /// correctly afterwards. Two rounds: learnt clauses are born "used", so
+    /// the first round mostly clears that protection and the second
+    /// deletes.
     #[test]
-    fn reduce_keeps_core_and_reason_clauses(
+    fn reduce_keeps_glue_and_reason_clauses(
         clauses in arb_cnf(8, 40),
         churn in proptest::collection::vec(
             proptest::collection::vec((0..8usize, any::<bool>()), 0..=4), 1..4),
@@ -251,27 +256,33 @@ proptest! {
             v.sort();
             v
         };
-        let core_before: Vec<Vec<Lit>> = s
-            .debug_learnts_with_tiers()
-            .iter()
-            .filter(|(_, tier)| *tier == 0)
-            .map(|(c, _)| canon(c))
-            .collect();
-        let reasons_before: Vec<Vec<Lit>> =
-            s.debug_reason_clauses().iter().map(|c| canon(c)).collect();
-        s.debug_force_reduce();
-        prop_assert_eq!(s.debug_check_watches(), Ok(()));
-        let mut live: Vec<Vec<Lit>> = s
-            .debug_learnts_with_tiers()
-            .iter()
-            .map(|(c, _)| canon(c))
-            .collect();
-        s.visit_formula_clauses(|c| live.push(canon(c)));
-        for c in &core_before {
-            prop_assert!(live.contains(c), "reduce dropped core-tier clause {:?}", c);
-        }
-        for c in &reasons_before {
-            prop_assert!(live.contains(c), "reduce dropped a reason clause {:?}", c);
+        for _ in 0..2 {
+            let glue_before: Vec<Vec<Lit>> = s
+                .debug_learnts_with_lbd()
+                .iter()
+                .filter(|(_, lbd)| *lbd <= 2)
+                .map(|(c, _)| canon(c))
+                .collect();
+            let reasons_before: Vec<Vec<Lit>> =
+                s.debug_reason_clauses().iter().map(|c| canon(c)).collect();
+            let deleted_before = s.stats().deleted_clauses;
+            s.debug_force_reduce();
+            prop_assert_eq!(s.debug_check_watches(), Ok(()));
+            if s.stats().deleted_clauses > deleted_before {
+                prop_assert_eq!(s.debug_garbage_frac(), 0.0);
+            }
+            let mut live: Vec<Vec<Lit>> = s
+                .debug_learnts_with_lbd()
+                .iter()
+                .map(|(c, _)| canon(c))
+                .collect();
+            s.visit_formula_clauses(|c| live.push(canon(c)));
+            for c in &glue_before {
+                prop_assert!(live.contains(c), "reduce dropped glue clause {:?}", c);
+            }
+            for c in &reasons_before {
+                prop_assert!(live.contains(c), "reduce dropped a reason clause {:?}", c);
+            }
         }
         prop_assert_eq!(s.solve() == SolveResult::Sat, expected);
     }

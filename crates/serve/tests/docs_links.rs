@@ -250,3 +250,87 @@ fn trace_vocabulary_matches_schema() {
          documented but never produced: {stale:?}"
     );
 }
+
+/// The `pub` field names of `struct_name` in the Rust source `text`: every
+/// `pub name:` line between `pub struct Name {` and the closing brace at
+/// column 0.
+fn pub_fields(text: &str, struct_name: &str) -> Vec<String> {
+    let head = format!("pub struct {struct_name} {{");
+    let body = text
+        .split_once(&head)
+        .unwrap_or_else(|| panic!("no `{head}`"))
+        .1;
+    let body = &body[..body.find("\n}").expect("struct body closes")];
+    body.lines()
+        .filter_map(|line| line.trim_start().strip_prefix("pub "))
+        .filter_map(|rest| rest.split_once(':'))
+        .map(|(name, _)| name.trim().to_string())
+        .collect()
+}
+
+/// The first-column names of the table under the `## ` heading of
+/// docs/TUNING.md that contains `heading`, up to the next `## `.
+fn tuning_rows(tuning: &str, heading: &str) -> Vec<String> {
+    let section = tuning
+        .split("\n## ")
+        .find(|s| s.lines().next().is_some_and(|h| h.contains(heading)))
+        .unwrap_or_else(|| panic!("TUNING.md has no `## ` section for {heading}"));
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .filter_map(|cell| cell.split('`').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Each option-struct table in docs/TUNING.md lists exactly the struct's
+/// `pub` fields: a field added without a row, or a row left behind by a
+/// deleted field, fails here.
+#[test]
+fn tuning_tables_match_config_structs() {
+    use std::collections::BTreeSet;
+    let root = repo_root();
+    let tuning = std::fs::read_to_string(root.join("docs/TUNING.md")).unwrap();
+    let tables = [
+        (
+            "`hhoudini::EngineConfig`",
+            "crates/core/src/engine.rs",
+            "EngineConfig",
+        ),
+        (
+            "`hh_smt::AbductionConfig`",
+            "crates/smt/src/query.rs",
+            "AbductionConfig",
+        ),
+        ("`hh_sat::Config`", "crates/sat/src/solver.rs", "Config"),
+        (
+            "`veloct::VeloctConfig`",
+            "crates/veloct/src/lib.rs",
+            "VeloctConfig",
+        ),
+        (
+            "`hhoudini::baselines::BaselineBudget`",
+            "crates/core/src/baselines.rs",
+            "BaselineBudget",
+        ),
+    ];
+    let mut drift = Vec::new();
+    for (heading, file, name) in tables {
+        let source = std::fs::read_to_string(root.join(file)).unwrap();
+        let fields: BTreeSet<String> = pub_fields(&source, name).into_iter().collect();
+        let rows: BTreeSet<String> = tuning_rows(&tuning, heading).into_iter().collect();
+        assert!(!fields.is_empty(), "{name}: no pub fields found in {file}");
+        let undocumented: Vec<&String> = fields.difference(&rows).collect();
+        let stale: Vec<&String> = rows.difference(&fields).collect();
+        if !undocumented.is_empty() || !stale.is_empty() {
+            drift.push(format!(
+                "{name}: fields without a row {undocumented:?}, rows without a field {stale:?}"
+            ));
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "docs/TUNING.md out of sync with the config structs\n{}",
+        drift.join("\n")
+    );
+}
