@@ -322,6 +322,11 @@ impl Netlist {
             .unwrap_or_else(|| panic!("state {} has no next", self.states[sid.index()].name))
     }
 
+    /// Next-state function of a state element, if set.
+    pub(crate) fn try_next_of(&self, sid: StateId) -> Option<NodeId> {
+        self.states[sid.index()].next
+    }
+
     /// Initial value of a state element.
     pub fn init_of(&self, sid: StateId) -> Bv {
         self.states[sid.index()].init
@@ -358,6 +363,11 @@ impl Netlist {
     /// Width of an input.
     pub fn input_width(&self, iid: InputId) -> u32 {
         self.inputs[iid.index()].width
+    }
+
+    /// All node ids, in creation (topological) order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len() as u32).map(NodeId)
     }
 
     /// Iterates over all state ids.

@@ -6,86 +6,20 @@
 //!   copies of a miter never diverge;
 //! * COI completeness: every state whose value can influence a target's
 //!   next value in one step is in the reported 1-step cone (Contract 1's
-//!   `O_slice` requirement), validated by fault injection.
+//!   `O_slice` requirement), validated by fault injection;
+//! * the compiled evaluator behind `eval_all`/`step` equals the `Bv`
+//!   reference interpreter on every node, over every operator and widths
+//!   up to 64 bits.
+
+mod support;
 
 use hh_netlist::btor2::{parse_btor2, to_btor2};
 use hh_netlist::coi::Coi;
-use hh_netlist::eval::{step, InputValues, StateValues};
+use hh_netlist::eval::{eval_all, step, StateValues};
 use hh_netlist::miter::Miter;
 use hh_netlist::{Bv, Netlist};
 use proptest::prelude::*;
-
-const W: u32 = 6;
-const NREGS: usize = 4;
-
-#[derive(Debug, Clone)]
-struct Recipe {
-    op: u8,
-    a: u8,
-    b: u8,
-    use_input: bool,
-}
-
-fn arb_recipes() -> impl Strategy<Value = Vec<Recipe>> {
-    proptest::collection::vec(
-        (0u8..9, any::<u8>(), any::<u8>(), any::<bool>()).prop_map(|(op, a, b, use_input)| {
-            Recipe {
-                op,
-                a,
-                b,
-                use_input,
-            }
-        }),
-        NREGS,
-    )
-}
-
-fn build(recipes: &[Recipe]) -> Netlist {
-    let mut n = Netlist::new("prop");
-    let regs: Vec<_> = (0..NREGS)
-        .map(|i| n.state(format!("r{i}"), W, Bv::new(W, i as u64 + 1)))
-        .collect();
-    let input = n.input("in", W);
-    for (i, rec) in recipes.iter().enumerate() {
-        let a = n.state_node(regs[rec.a as usize % NREGS]);
-        let b = if rec.use_input {
-            input
-        } else {
-            n.state_node(regs[rec.b as usize % NREGS])
-        };
-        let next = match rec.op {
-            0 => n.and(a, b),
-            1 => n.or(a, b),
-            2 => n.xor(a, b),
-            3 => n.add(a, b),
-            4 => n.sub(a, b),
-            5 => n.mul(a, b),
-            6 => {
-                let c = n.ult(a, b);
-                let t = n.not(a);
-                n.ite(c, t, b)
-            }
-            7 => {
-                let amt = n.c(W, (rec.b % 5) as u64);
-                n.shl(a, amt)
-            }
-            _ => a,
-        };
-        n.set_next(regs[i], next);
-    }
-    n.add_output("o", n.state_node(regs[0]));
-    n
-}
-
-fn drive(n: &Netlist, vals: &[u64]) -> Vec<InputValues> {
-    vals.iter()
-        .map(|&v| {
-            let mut iv = InputValues::zeros(n);
-            iv.set_by_name(n, "in", Bv::new(W, v));
-            iv
-        })
-        .collect()
-}
+use support::*;
 
 /// Applies token-level mutations to btor2 text: each `(line, token,
 /// value, dup)` overwrites one token of one line with a small number, and
@@ -202,6 +136,90 @@ proptest! {
                     n.state_name(t)
                 );
             }
+        }
+    }
+
+    /// The compiled evaluator agrees with the `Bv` reference on every node
+    /// and on the successor state, for random designs, states and inputs.
+    #[test]
+    fn compiled_evaluator_matches_bv_reference(
+        steps in arb_wide_steps(),
+        state_words in proptest::collection::vec(any::<u64>(), 10),
+        input_words in proptest::collection::vec(any::<u64>(), 5),
+    ) {
+        let n = build_wide(&steps);
+        let s = states_from(&n, &state_words);
+        let iv = inputs_from(&n, &input_words);
+        prop_assert_eq!(eval_all(&n, &s, &iv), oracle_eval_all(&n, &s, &iv));
+        prop_assert_eq!(step(&n, &s, &iv), oracle_step(&n, &s, &iv));
+    }
+}
+
+/// The operator corners the random designs reach only sometimes, pinned
+/// once: shifts by exactly and beyond the width, `Ashr` sign fill, `Slt` and
+/// `Sext` at 1 and 64 bits, 64-bit arithmetic and 64-bit `Concat`s.
+#[test]
+fn evaluator_corners_match_bv_reference() {
+    let mut n = Netlist::new("corners");
+    let a64 = n.input("a64", 64);
+    let b64 = n.input("b64", 64);
+    let a32 = n.input("a32", 32);
+    let b1 = n.input("b1", 1);
+    let a63 = n.input("a63", 63);
+    let amounts = [0, 1, 31, 32, 33, 63, 64, 65, 200, u64::MAX];
+    for &amt in &amounts {
+        for (a, w) in [(a64, 64), (a32, 32), (a63, 63)] {
+            for aw in [8, 64] {
+                let k = n.c(aw, amt);
+                let shl = n.shl(a, k);
+                let lshr = n.lshr(a, k);
+                let ashr = n.ashr(a, k);
+                n.add_output(format!("shl{w}_{aw}_{amt}"), shl);
+                n.add_output(format!("lshr{w}_{aw}_{amt}"), lshr);
+                n.add_output(format!("ashr{w}_{aw}_{amt}"), ashr);
+            }
+        }
+    }
+    let nodes = [
+        n.slt(a64, b64),
+        n.slt(b1, b1),
+        n.ult(a64, b64),
+        n.sext(b1, 64),
+        n.sext(a32, 64),
+        n.sext(a63, 64),
+        n.uext(b1, 64),
+        n.mul(a64, b64),
+        n.add(a64, b64),
+        n.sub(a32, a32),
+        n.neg(a64),
+        n.not(a63),
+        n.redand(a64),
+        n.redxor(a63),
+        n.concat(a32, a32),
+        n.concat(a63, b1),
+        n.concat(b1, a63),
+    ];
+    for (k, &node) in nodes.iter().enumerate() {
+        n.add_output(format!("o{k}"), node);
+    }
+    let patterns = [
+        0u64,
+        1,
+        u64::MAX,
+        1 << 63,
+        (1 << 63) - 1,
+        0x8000_0000,
+        0xdead_beef_0bad_f00d,
+    ];
+    let s = StateValues::initial(&n);
+    for &x in &patterns {
+        for &y in &patterns {
+            let iv = inputs_from(&n, &[x, y, x, y, x]);
+            assert_eq!(
+                eval_all(&n, &s, &iv),
+                oracle_eval_all(&n, &s, &iv),
+                "{x:#x} {y:#x}"
+            );
         }
     }
 }

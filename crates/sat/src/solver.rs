@@ -87,7 +87,8 @@ const RESTART_BASE: u64 = 100;
 /// Learnt-clause cap at the start of a solve, as a fraction of the live
 /// clauses (plus a fixed 1000).
 const LEARNT_SIZE_FACTOR: f64 = 1.0 / 3.0;
-/// Growth of the learnt-clause cap after each reduction.
+/// Growth of the learnt-clause cap after a reduction that deleted clauses
+/// or found nothing deletable (see `Solver::reduce_db`).
 const LEARNT_SIZE_INC: f64 = 1.1;
 /// EMA smoothing factor of the recent-LBD average (glucose restarts).
 const RESTART_EMA_ALPHA: f64 = 1.0 / 32.0;
@@ -977,7 +978,6 @@ impl Solver {
                 }
                 if self.db.num_learnts() as f64 >= self.max_learnts {
                     self.reduce_db();
-                    self.max_learnts *= LEARNT_SIZE_INC;
                 }
                 // Place assumptions as pseudo-decisions, one per level.
                 let mut next: Option<Lit> = None;
@@ -1521,15 +1521,29 @@ impl Solver {
     /// among equals), then clears every used bit so protection lasts
     /// exactly one round. A reduction that deleted anything collects the
     /// garbage at once.
+    ///
+    /// The learnt cap grows by [`LEARNT_SIZE_INC`] unless the round deleted
+    /// nothing while some clause was protected only by its used bit: that
+    /// bit is now clear, so the next reduction point retries at the same
+    /// cap. A round with no deletable clause at all (every learnt is glue
+    /// or locked) still grows the cap, so a reduction cannot re-fire on
+    /// every decision.
     fn reduce_db(&mut self) {
         let start = std::time::Instant::now();
         self.stats.reduces += 1;
         let learnts = self.db.learnt_refs();
-        let mut cands: Vec<ClauseRef> = learnts
-            .iter()
-            .copied()
-            .filter(|&c| self.db.lbd(c) > GLUE_LBD && !self.db.is_used(c) && !self.is_locked(c))
-            .collect();
+        let mut used_only = 0usize;
+        let mut cands: Vec<ClauseRef> = Vec::new();
+        for &c in &learnts {
+            if self.db.lbd(c) <= GLUE_LBD || self.is_locked(c) {
+                continue;
+            }
+            if self.db.is_used(c) {
+                used_only += 1;
+            } else {
+                cands.push(c);
+            }
+        }
         cands.sort_by(|&a, &b| {
             self.db.lbd(b).cmp(&self.db.lbd(a)).then_with(|| {
                 self.db
@@ -1550,6 +1564,9 @@ impl Solver {
         }
         if target > 0 {
             self.collect_garbage();
+        }
+        if target > 0 || used_only == 0 {
+            self.max_learnts *= LEARNT_SIZE_INC;
         }
         self.stats.reduce_time_us += start.elapsed().as_micros() as u64;
     }
@@ -1607,6 +1624,12 @@ impl Solver {
     #[doc(hidden)]
     pub fn debug_garbage_frac(&self) -> f64 {
         self.db.garbage_frac()
+    }
+
+    /// The current learnt-clause cap that triggers a reduction. Test hook.
+    #[doc(hidden)]
+    pub fn debug_max_learnts(&self) -> f64 {
+        self.max_learnts
     }
 
     /// Number of live learnt clauses. Test hook.
@@ -2055,6 +2078,49 @@ mod tests {
         s.add_clause(&[!a, b]);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert!(s.model_value(b));
+    }
+
+    #[test]
+    fn learnt_cap_grows_only_when_a_reduction_frees_or_cannot() {
+        // A round with no deletable clause (no learnts yet) grows the cap.
+        let mut s = Solver::new();
+        let a = s.new_var().positive();
+        let b = s.new_var().positive();
+        s.add_clause(&[a, b]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        let cap = s.debug_max_learnts();
+        s.debug_force_reduce();
+        assert_eq!(s.debug_max_learnts(), cap * LEARNT_SIZE_INC);
+
+        // Learnt clauses are born used: the first round deletes nothing and
+        // only clears that protection, so the cap stays; the next round
+        // deletes and grows it.
+        let clauses = random_3cnf(80, 340, 0xE1);
+        let mut s = Solver::new();
+        for _ in 0..80 {
+            s.new_var();
+        }
+        for cl in &clauses {
+            s.add_clause(cl);
+        }
+        s.solve();
+        let non_glue = s
+            .debug_learnts_with_lbd()
+            .iter()
+            .filter(|(_, lbd)| *lbd > GLUE_LBD)
+            .count();
+        assert!(non_glue >= 2, "too few learnt clauses to reduce");
+        let cap = s.debug_max_learnts();
+        s.debug_force_reduce();
+        assert_eq!(s.stats().deleted_clauses, 0);
+        assert_eq!(
+            s.debug_max_learnts(),
+            cap,
+            "a round that freed nothing grew the cap"
+        );
+        s.debug_force_reduce();
+        assert!(s.stats().deleted_clauses > 0);
+        assert_eq!(s.debug_max_learnts(), cap * LEARNT_SIZE_INC);
     }
 
     #[test]

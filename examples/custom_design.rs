@@ -17,7 +17,7 @@ use hh_suite::hhoudini::{EngineConfig, SerialEngine};
 use hh_suite::netlist::eval::StateValues;
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::{Bv, Netlist, StateId};
-use hh_suite::sim::{product_states, simulate};
+use hh_suite::sim::{product_states, simulate, state_waveform};
 use hh_suite::smt::{Pattern, Predicate};
 
 const W: u32 = 16;
@@ -135,9 +135,7 @@ fn learn(accel: &Accel, allow_reduce: bool) {
         let lt = simulate(n, left, &inputs);
         let rt = simulate(n, right, &inputs);
         // Keep only timing-equal pairs as positive examples (Def. 4.8).
-        let dl_wave: Vec<_> = lt.states.iter().map(|s| s.get(accel.done)).collect();
-        let dr_wave: Vec<_> = rt.states.iter().map(|s| s.get(accel.done)).collect();
-        if dl_wave != dr_wave {
+        if state_waveform(&lt, accel.done) != state_waveform(&rt, accel.done) {
             println!(
                 "  [witness] differing secrets produce different `done` timing — \
                  the reduce command leaks"

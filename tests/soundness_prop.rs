@@ -9,7 +9,7 @@ use hh_suite::hhoudini::{EngineConfig, SerialEngine};
 use hh_suite::netlist::eval::{InputValues, StateValues};
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::{Bv, Netlist, NodeId};
-use hh_suite::sim::product_states;
+use hh_suite::sim::{product_states, state_waveform};
 use hh_suite::smt::Predicate;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -102,10 +102,8 @@ fn example_pair(
     let lt = hh_suite::sim::simulate(base, left, &ivs);
     let rt = hh_suite::sim::simulate(base, right, &ivs);
     // The property must hold along the trace for it to be positive.
-    for (ls, rs) in lt.states.iter().zip(&rt.states) {
-        if ls.get(r0) != rs.get(r0) {
-            return None;
-        }
+    if state_waveform(&lt, r0) != state_waveform(&rt, r0) {
+        return None;
     }
     let mut ps = product_states(miter, &lt, &rt);
     ps.pop();
